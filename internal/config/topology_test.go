@@ -2,7 +2,6 @@ package config
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -12,9 +11,6 @@ import (
 func TestResolveTopologyLegacyIdentity(t *testing.T) {
 	s := Default()
 	r := s.FS.ResolveTopology()
-	if r.Fleet() {
-		t.Error("legacy spec must not take the fleet path")
-	}
 	if r.Servers != 1 || r.Pool != 0 || r.Placement != PlaceShard {
 		t.Errorf("legacy resolution = %+v", r)
 	}
@@ -26,51 +22,15 @@ func TestResolveTopologyLegacyIdentity(t *testing.T) {
 	}
 }
 
-func TestResolveTopologyOverrides(t *testing.T) {
-	s := Default()
-	srv := s.FS.Server
-	srv.NFSDs = 7
-	net := netsim.Config{LatencyPerMessage: 123, PerByte: 4}
-	s.FS.Topology = &Topology{
-		Servers:    4,
-		NFSDs:      9, // wins over Server.NFSDs
-		ClientPool: 16,
-		Placement:  PlaceReplicate,
-		Server:     &srv,
-		Net:        &net,
-	}
-	r := s.FS.ResolveTopology()
-	if !r.Fleet() {
-		t.Fatal("expected fleet path")
-	}
-	if r.Servers != 4 || r.Pool != 16 || r.Placement != PlaceReplicate {
-		t.Errorf("shape = %+v", r)
-	}
-	if r.Server.NFSDs != 9 {
-		t.Errorf("nfsds override lost: %d", r.Server.NFSDs)
-	}
-	if r.Client.Net != net {
-		t.Errorf("net override lost: %+v", r.Client.Net)
-	}
-	// The client block outside Net keeps the legacy values.
-	if r.Client.WireBlock != s.FS.Client.WireBlock {
-		t.Errorf("client wire block changed: %d", r.Client.WireBlock)
-	}
-}
-
 func TestTopologyValidateRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		topo Topology
 	}{
 		{"negative servers", Topology{Servers: -1}},
-		{"negative nfsds", Topology{NFSDs: -2}},
 		{"negative pool", Topology{ClientPool: -3}},
 		{"bad placement", Topology{Placement: "scatter"}},
-		{"bad server", Topology{Server: &Default().FS.Server, NFSDs: 0}},
 	}
-	// Make the "bad server" case actually bad.
-	cases[4].topo.Server.NFSDs = 0
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if err := c.topo.Validate(); err == nil {
@@ -97,18 +57,13 @@ func TestSpecValidateTopologyByKind(t *testing.T) {
 }
 
 // TestTopologySpecRoundTrip proves Encode(Decode(x)) is a fixed point for a
-// spec using the topology block: config overrides are folded into the legacy
-// value fields at decode time, so re-encoding cannot trip the both-forms
-// rejection, and the resolved shape is unchanged.
+// spec using the topology block alongside tuned server and wire knobs, and
+// that the resolved fleet is unchanged across the round trip.
 func TestTopologySpecRoundTrip(t *testing.T) {
 	s := Default()
-	srv := s.FS.Server
-	srv.NFSDs = 6
-	net := netsim.Config{LatencyPerMessage: 77, PerByte: 2}
-	s.FS.Topology = &Topology{
-		Servers: 4, ClientPool: 16, Placement: PlaceReplicate,
-		Server: &srv, Net: &net,
-	}
+	s.FS.Server.NFSDs = 6
+	s.FS.Client.Net = netsim.Config{LatencyPerMessage: 77, PerByte: 2}
+	s.FS.Topology = &Topology{Servers: 4, ClientPool: 16, Placement: PlaceReplicate}
 	want := s.FS.ResolveTopology()
 
 	var one bytes.Buffer
@@ -141,69 +96,52 @@ func TestTopologySpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFSSpecRejectsBothForms(t *testing.T) {
-	const tmpl = `{
-		"name": "x",
-		"fs": {"kind": "nfs", %s}
-	}`
-	cases := []struct {
-		name string
-		fs   string
-		ok   bool
-	}{
-		{"legacy server + topology.server",
-			`"server": {"NFSDs": 4}, "topology": {"server": {"NFSDs": 2}}`, false},
-		{"legacy client + topology.client",
-			`"client": {"WireBlock": 8192}, "topology": {"client": {"WireBlock": 1024}}`, false},
-		{"legacy client + topology.net",
-			`"client": {"WireBlock": 8192}, "topology": {"net": {"LatencyPerMessage": 10}}`, false},
-		{"legacy server + topology counts",
-			`"server": {"NFSDs": 4}, "topology": {"servers": 2, "client_pool": 8}`, true},
-		{"topology only",
-			`"topology": {"servers": 2, "server": {"NFSDs": 4}}`, true},
-		{"null topology with legacy",
-			`"server": {"NFSDs": 4}, "topology": null`, true},
+// TestResolveTopologyShape checks that the block sets only the fleet shape:
+// every island takes its server and client (wire included) from fs.server
+// and fs.client.
+func TestResolveTopologyShape(t *testing.T) {
+	s := Default()
+	s.FS.Server.NFSDs = 7
+	s.FS.Client.Net = netsim.Config{LatencyPerMessage: 123, PerByte: 4}
+	s.FS.Topology = &Topology{Servers: 4, ClientPool: 16, Placement: PlaceReplicate}
+	r := s.FS.ResolveTopology()
+	if r.Servers != 4 || r.Pool != 16 || r.Placement != PlaceReplicate {
+		t.Errorf("shape = %+v", r)
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var fs FSSpec
-			err := fs.UnmarshalJSON([]byte("{\"kind\": \"nfs\", " + c.fs + "}"))
-			if c.ok && err != nil {
-				t.Errorf("unexpected error: %v", err)
-			}
-			if !c.ok {
-				if err == nil {
-					t.Fatal("expected both-forms rejection")
-				}
-				if !errors.Is(err, ErrSpec) {
-					t.Errorf("error = %v, want ErrSpec", err)
-				}
-			}
-			_ = tmpl
-		})
+	if r.Server != s.FS.Server || r.Client != s.FS.Client {
+		t.Errorf("per-island config = %+v / %+v, want fs.server / fs.client", r.Server, r.Client)
 	}
 }
 
-// TestTopologyFoldAtDecode checks that decoded topology config overrides land
-// in the legacy fields (and the topology block keeps only the fleet shape).
-func TestTopologyFoldAtDecode(t *testing.T) {
-	var fs FSSpec
-	raw := `{"kind": "nfs",
-		"topology": {"servers": 2, "nfsds": 5, "client_pool": 8,
-		             "net": {"LatencyPerMessage": 99}}}`
-	if err := fs.UnmarshalJSON([]byte(raw)); err != nil {
+// TestTopologyRemovedKeysRejected pins the one spelling per knob: server,
+// client, wire and nfsd settings live in fs.server and fs.client only, so a
+// spec that writes them inside fs.topology fails to decode loudly instead of
+// being silently ignored.
+func TestTopologyRemovedKeysRejected(t *testing.T) {
+	s := Default()
+	s.FS.Topology = &Topology{Servers: 2, ClientPool: 8}
+	var buf bytes.Buffer
+	if err := s.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Server.NFSDs != 5 {
-		t.Errorf("nfsds not folded: %d", fs.Server.NFSDs)
+	doc := buf.String()
+	if _, err := Decode(strings.NewReader(doc)); err != nil {
+		t.Fatalf("shape-only topology: %v", err)
 	}
-	if fs.Client.Net.LatencyPerMessage != 99 {
-		t.Errorf("net not folded: %+v", fs.Client.Net)
+	const shape = `"servers": 2`
+	if !strings.Contains(doc, shape) {
+		t.Fatalf("encoded spec lacks %s:\n%s", shape, doc)
 	}
-	if fs.Topology == nil || fs.Topology.Servers != 2 || fs.Topology.ClientPool != 8 {
-		t.Errorf("fleet shape lost: %+v", fs.Topology)
-	}
-	if fs.Topology.Server != nil || fs.Topology.Client != nil || fs.Topology.Net != nil || fs.Topology.NFSDs != 0 {
-		t.Errorf("folded overrides still present: %+v", fs.Topology)
+	for _, key := range []string{
+		`"server": {"NFSDs": 2}`,
+		`"client": {"WireBlock": 1024}`,
+		`"net": {"LatencyPerMessage": 10}`,
+		`"nfsds": 5`,
+	} {
+		bad := strings.Replace(doc, shape, shape+", "+key, 1)
+		_, err := Decode(strings.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("topology with %s: err = %v, want an unknown-field error", key, err)
+		}
 	}
 }

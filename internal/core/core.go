@@ -46,26 +46,19 @@ type Generator struct {
 	log       *trace.Log        // the sink in log mode, nil when streaming
 	sum       *trace.Summarizer // the sink in streaming mode, nil otherwise
 	windows   *trace.Windows    // the windowed view, nil unless trace.window_us is set
-	server    *nfs.Server       // island 0's server in NFS mode, non-nil
-	link      *netsim.Link      // island 0's link in NFS mode, non-nil
+	fleet     *nfs.Fleet        // the NFS islands, non-nil in NFS mode
 	servers   []*nfs.Server     // every island's server in NFS mode
 	links     []*netsim.Link    // every island's link in NFS mode
-	fleet     *nfs.Fleet        // non-nil in multi-island / pooled NFS mode
-	clients   []*nfs.Client     // one per user in single-island NFS mode
 	local     *vfs.LocalCost    // non-nil in local mode
 	faults    *fault.Engine     // non-nil when the spec carries a fault plan
 	warmOps   int64             // warmed paths (opens + stats), for cost tests
 	ran       bool
 
-	// Lazy-population wiring (spec.LazyUsers): the namespace shadow and
-	// client config needed to build a single-island client at a user's
-	// arrival, the per-materialized-user file-system bindings (entries are
-	// deleted again when a user's stream ends), and the shared warming
-	// helper.
-	backing   *vfs.MemFS
-	clientCfg nfs.ClientConfig
-	lazyFS    map[int]vfs.FileSystem
-	w         *warmer
+	// Lazy-population wiring (spec.LazyUsers): the per-materialized-user
+	// file-system bindings (entries are deleted again when a user's stream
+	// ends), and the shared warming helper.
+	lazyFS map[int]vfs.FileSystem
+	w      *warmer
 }
 
 // Result is a completed run.
@@ -115,7 +108,6 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 		g.windows = trace.NewWindows(spec.Trace.WindowUS)
 		g.sink = trace.NewTee(g.sink, g.windows)
 	}
-	var setupFS vfs.FileSystem // FSC-only file system, when distinct from fs
 	switch spec.FS.Kind {
 	case config.FSLocal:
 		g.env = sim.NewEnv()
@@ -128,78 +120,35 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 	case config.FSNFS:
 		g.env = sim.NewEnv()
 		topo := spec.FS.ResolveTopology()
-		backing := vfs.NewMemFS(vfs.WithMaxFDs(1 << 20))
-		if topo.Fleet() {
-			// Scale-out topology: N islands (server + wire + mounted
-			// clients) behind a deterministic namespace router, optionally
-			// with K pooled clients per island multiplexing all users
-			// mapped there. The islands share the backing namespace
-			// shadow, so FDs are fleet-unique and the router only tracks
-			// ownership.
-			fleet, err := nfs.NewFleet(g.env, nfs.FleetConfig{
-				Servers:   topo.Servers,
-				Pool:      topo.Pool,
-				Replicate: topo.Placement == config.PlaceReplicate,
-				Server:    topo.Server,
-				Client:    topo.Client,
-			}, spec.Users, spec.Seed, backing)
-			if err != nil {
-				return nil, fmt.Errorf("core: NFS fleet: %w", err)
-			}
-			g.fleet = fleet
-			islands := fleet.Islands()
-			g.servers = make([]*nfs.Server, len(islands))
-			g.links = make([]*netsim.Link, len(islands))
-			for i, isl := range islands {
-				g.servers[i] = isl.Server
-				g.links[i] = isl.Link
-			}
-			g.server, g.link = g.servers[0], g.links[0]
-			setupFS = fleet.SetupFS()
-			g.fs = fleet.FSForUser(0)
-		} else {
-			server, err := nfs.NewServer(g.env, topo.Server)
-			if err != nil {
-				return nil, fmt.Errorf("core: NFS server: %w", err)
-			}
-			g.server = server
-			g.link = netsim.NewLink(g.env, topo.Client.Net)
-			g.servers = []*nfs.Server{g.server}
-			g.links = []*netsim.Link{g.link}
-			// One client per user — the thesis's testbed gave every user
-			// their own SUN 3/50 workstation (private page and attribute
-			// caches), all mounting one server over one shared Ethernet.
-			// The clients share a namespace shadow so the FSC's files are
-			// visible everywhere. A lazy population builds no clients here:
-			// each user's workstation is constructed at its arrival
-			// (materializeUser) and dropped when its stream ends, so the
-			// resident client count tracks active users.
-			if !spec.LazyUsers {
-				g.clients = make([]*nfs.Client, spec.Users)
-				for i := range g.clients {
-					c, err := nfs.NewClientWithBacking(server, g.link, topo.Client, backing)
-					if err != nil {
-						return nil, fmt.Errorf("core: NFS client %d: %w", i, err)
-					}
-					g.clients[i] = c
-				}
-			}
-			// The FSC builds the initial file system through a throwaway
-			// setup client so no user starts the measured run with pages
-			// or attributes its peers lack; only the shared server-side
-			// state (namespace, server cache) carries over, symmetrically.
-			setup, err := nfs.NewClientWithBacking(server, g.link, topo.Client, backing)
-			if err != nil {
-				return nil, fmt.Errorf("core: NFS setup client: %w", err)
-			}
-			setupFS = setup
-			if spec.LazyUsers {
-				g.backing, g.clientCfg = backing, topo.Client
-				g.fs = setup
-			} else {
-				g.fs = g.clients[0]
-			}
+		// Every NFS shape is a fleet: N islands (server + wire) behind a
+		// deterministic namespace router, with K pooled clients per island
+		// or a private client per user on each. The thesis testbed is the
+		// one-island per-user fleet: every user had their own SUN 3/50
+		// workstation (private page and attribute caches), all mounting one
+		// server over one shared Ethernet. All clients share one namespace
+		// shadow, so the FSC's files are visible everywhere and FDs are
+		// fleet-unique. Users are mounted once the initial file system
+		// exists (mountUser).
+		fleet, err := nfs.NewFleet(g.env, nfs.FleetConfig{
+			Servers:   topo.Servers,
+			Pool:      topo.Pool,
+			Replicate: topo.Placement == config.PlaceReplicate,
+			Server:    topo.Server,
+			Client:    topo.Client,
+		}, spec.Seed, vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
+		if err != nil {
+			return nil, fmt.Errorf("core: NFS fleet: %w", err)
 		}
+		g.fleet = fleet
+		for _, isl := range fleet.Islands() {
+			g.servers = append(g.servers, isl.Server)
+			g.links = append(g.links, isl.Link)
+		}
+		// The FSC builds the initial file system through throwaway setup
+		// clients so no user starts the measured run with pages or
+		// attributes its peers lack; only the shared server-side state
+		// (namespace, server cache) carries over, symmetrically.
+		g.fs = fleet.SetupFS()
 	case config.FSReal:
 		fs, err := realfs.New(spec.FS.RealRoot)
 		if err != nil {
@@ -213,10 +162,7 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 	// The FSC's setup work is not part of the measured experiment: create
 	// the initial file system on an uncharged clock.
 	setupCtx := g.setupCtx()
-	if setupFS == nil {
-		setupFS = g.fs
-	}
-	inv, err := fsc.Build(setupCtx, setupFS, spec, tables, rng.Derive(spec.Seed, "fsc"))
+	inv, err := fsc.Build(setupCtx, g.fs, spec, tables, rng.Derive(spec.Seed, "fsc"))
 	if err != nil {
 		return nil, fmt.Errorf("core: FSC: %w", err)
 	}
@@ -236,48 +182,34 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 		g.faults = eng
 	}
 	// In NFS mode SetFSForUser below routes every session to a per-user
-	// wrapped client, so the default FS is wrapped only in the single-FS
-	// modes (local, real).
+	// mount, so the default FS is wrapped only in the single-FS modes
+	// (local, real).
 	measured := g.fs
-	if g.faults != nil && spec.Fault.HasFSRules() && len(g.clients) == 0 && g.fleet == nil && g.backing == nil {
-		measured = fault.NewFS(g.fs, g.faults)
+	if g.fleet == nil {
+		measured = g.measured(g.fs)
 	}
 
 	s, err := usim.New(spec, tables, inv, measured, g.sink)
 	if err != nil {
 		return nil, fmt.Errorf("core: USIM: %w", err)
 	}
+	if g.fleet != nil && g.fleet.Pooled() {
+		g.warmPoolSystem()
+	}
 	switch {
 	case spec.LazyUsers:
-		// Per-user construction (file tree, client or router binding, cache
-		// warmth) happens at each user's arrival via the hooks; only the
-		// shared system tree's warming is eager, matching its eager build.
-		if g.fleet != nil {
-			g.warmFleetSystem(inv, g.warmer())
-		}
+		// Per-user construction (file tree, mount, cache warmth) happens at
+		// each user's arrival via the hooks; only the shared system tree's
+		// pool warming is eager, matching its eager build.
 		g.installLazy(s)
 	case g.fleet != nil:
-		g.warmFleet(inv, s)
 		perUser := make([]vfs.FileSystem, spec.Users)
 		for u := range perUser {
-			fs := g.fleet.FSForUser(u)
-			if g.faults != nil && spec.Fault.HasFSRules() {
-				fs = fault.NewFS(fs, g.faults)
+			fs := g.mountUser(s, u)
+			if u == 0 {
+				g.fs = fs
 			}
-			perUser[u] = fs
-		}
-		s.SetFSForUser(func(user int) vfs.FileSystem {
-			return perUser[user%len(perUser)]
-		})
-	case len(g.clients) > 0:
-		g.warmClients(inv, s)
-		perUser := make([]vfs.FileSystem, len(g.clients))
-		for i, c := range g.clients {
-			if g.faults != nil && spec.Fault.HasFSRules() {
-				perUser[i] = fault.NewFS(c, g.faults)
-			} else {
-				perUser[i] = c
-			}
+			perUser[u] = g.measured(fs)
 		}
 		s.SetFSForUser(func(user int) vfs.FileSystem {
 			return perUser[user%len(perUser)]
@@ -346,89 +278,86 @@ func (g *Generator) warmer() *warmer {
 	return g.w
 }
 
-// warm reads one pre-created file through the client (stats a directory) on
-// the zero clock.
-func (w *warmer) warm(c *nfs.Client, path string, isDir bool) {
+// warm reads one pre-created file through fs (stats a directory) on the zero
+// clock.
+func (w *warmer) warm(fs vfs.FileSystem, path string, isDir bool) {
 	var free zeroClock
 	w.g.warmOps++
 	if isDir {
-		c.Stat(&free, path, w.statDone)
+		fs.Stat(&free, path, w.statDone)
 		return
 	}
-	c.Open(&free, path, vfs.ReadOnly, w.openDone)
+	fs.Open(&free, path, vfs.ReadOnly, w.openDone)
 	if w.oerr != nil {
 		return
 	}
 	for {
-		c.Read(&free, w.fd, 1<<20, w.readDone)
+		fs.Read(&free, w.fd, 1<<20, w.readDone)
 		if w.rerr != nil || w.got == 0 {
 			break
 		}
 	}
-	c.Close(&free, w.fd, w.closeDone)
+	fs.Close(&free, w.fd, w.closeDone)
 }
 
-// warmClients brings every per-user client to the same steady state before
-// the measured run: each user's reachable pre-created files are read once
-// (directories stat'ed) on an uncharged clock. The thesis measured
-// logged-in users in steady state, not first-boot cold caches — and doing
-// this per client keeps every user's starting state identical, so response
-// differences across users come only from contention.
-func (g *Generator) warmClients(inv *fsc.Inventory, s *usim.Simulator) {
+// mountUser mounts user u on the fleet (FSForUser: private clients, or the
+// user's pool slots) and returns the mount. The thesis measured logged-in
+// users in steady state, not first-boot cold caches, so the user's caches
+// are warmed first (warmUser) — unless it is a lifecycle user arriving after
+// t=0: that one boots cold and pays the cache-warming cost during the
+// measured run, the rejoin storm the steady-state model deliberately hides.
+func (g *Generator) mountUser(s *usim.Simulator, u int) vfs.FileSystem {
+	fs := g.fleet.FSForUser(u)
+	if !s.ColdStart(u) {
+		g.warmUser(u, fs)
+	}
+	return fs
+}
+
+// warmUser reads each pre-created file user u can reach once (directories
+// stat'ed) on an uncharged clock. On private clients that is every set —
+// the shared system sets and the user's own — through the user's mount, so
+// every user starts from the same state and response differences across
+// users come only from contention. On pool slots it is the user's own sets
+// only, each through the slot the user reads it by; the system sets are
+// warm already (warmPoolSystem).
+func (g *Generator) warmUser(u int, fs vfs.FileSystem) {
 	w := g.warmer()
-	for u, c := range g.clients {
-		if s.ColdStart(u) {
-			// A lifecycle user arriving after t=0 boots cold: it pays the
-			// cache-warming cost during the measured run — the rejoin
-			// storm the steady-state model deliberately hides.
+	pooled := g.fleet.Pooled()
+	for cat := range g.spec.Categories {
+		if pooled && g.spec.Categories[cat].Owner != config.OwnerUser {
 			continue
 		}
-		g.warmUserClient(inv, w, c, u)
-	}
-}
-
-// warmUserClient reads one user's reachable sets — the shared system sets
-// and the user's own — through that user's client.
-func (g *Generator) warmUserClient(inv *fsc.Inventory, w *warmer, c *nfs.Client, u int) {
-	for cat := range g.spec.Categories {
-		set := inv.ForUser(u, cat)
+		set := g.inventory.ForUser(u, cat)
 		if set == nil {
 			continue
 		}
 		isDir := g.spec.Categories[cat].IsDir()
 		for _, path := range set.Paths {
-			w.warm(c, path, isDir)
+			if pooled {
+				// The slot itself, not the user's router, which would
+				// grow an FD map per user just for warming.
+				w.warm(g.fleet.ReadClientFor(u, path), path, isDir)
+			} else {
+				w.warm(fs, path, isDir)
+			}
 		}
 	}
 }
 
-// warmFleet is warmClients for the scale-out topology. Pooled clients make
-// warming proportional to distinct files and pool size instead of
-// users × files: each shared system set is read once per pool slot on every
-// island that serves its reads, and each user's own files are read once on
-// the one client that user reads them through. Cold-start users skip their
-// own files but still find warm shared state — in pooled mode the
-// "workstation" is shared, so a late arrival inherits the slot's caches.
-func (g *Generator) warmFleet(inv *fsc.Inventory, s *usim.Simulator) {
+// warmPoolSystem warms the shared system sets once per pool slot on every
+// island that serves their reads, so pooled warming grows with distinct
+// files and pool size instead of users × files. A cold-start user still
+// finds them warm: in pooled mode the "workstation" is shared, so a late
+// arrival inherits the slot's caches.
+func (g *Generator) warmPoolSystem() {
 	w := g.warmer()
-	g.warmFleetSystem(inv, w)
-	for u := 0; u < g.spec.Users; u++ {
-		if s.ColdStart(u) {
-			continue
-		}
-		g.warmFleetUser(inv, w, u)
-	}
-}
-
-// warmFleetSystem warms the shared system sets on every pool slot of every
-// island that serves them.
-func (g *Generator) warmFleetSystem(inv *fsc.Inventory, w *warmer) {
 	islands := g.fleet.Islands()
 	for cat := range g.spec.Categories {
 		if g.spec.Categories[cat].Owner == config.OwnerUser {
 			continue
 		}
-		set := inv.ForUser(0, cat)
+		set := g.inventory.ForUser(0, cat)
 		if set == nil {
 			continue
 		}
@@ -442,24 +371,6 @@ func (g *Generator) warmFleetSystem(inv *fsc.Inventory, w *warmer) {
 					w.warm(c, path, isDir)
 				}
 			}
-		}
-	}
-}
-
-// warmFleetUser warms one user's own sets on the client that user reads
-// them through.
-func (g *Generator) warmFleetUser(inv *fsc.Inventory, w *warmer, u int) {
-	for cat := range g.spec.Categories {
-		if g.spec.Categories[cat].Owner != config.OwnerUser {
-			continue
-		}
-		set := inv.ForUser(u, cat)
-		if set == nil {
-			continue
-		}
-		isDir := g.spec.Categories[cat].IsDir()
-		for _, path := range set.Paths {
-			w.warm(g.fleet.ReadClientFor(u, path), path, isDir)
 		}
 	}
 }
@@ -480,40 +391,27 @@ func (g *Generator) installLazy(s *usim.Simulator) {
 
 // materializeUser is the lazy population's arrival hook, the whole per-user
 // construction cost moved to first arrival: create the user's file tree
-// (pre-drawn sizes, uncharged setup clock), bind its file system — a fresh
-// workstation client on the single island, the router binding in fleet
-// mode — and warm its caches exactly as the eager construction would have.
-// Cold-start users (lifecycle arrivals after t=0) still skip warming.
+// (pre-drawn sizes, uncharged setup clock), then in NFS mode mount and warm
+// the user exactly as the eager construction would have.
 func (g *Generator) materializeUser(s *usim.Simulator, u int) error {
 	if err := g.inventory.MaterializeUser(u); err != nil {
 		return err
 	}
-	var fs vfs.FileSystem
-	switch {
-	case g.fleet != nil:
-		if !s.ColdStart(u) {
-			g.warmFleetUser(g.inventory, g.warmer(), u)
-		}
-		fs = g.fleet.FSForUser(u)
-	case g.backing != nil:
-		c, err := nfs.NewClientWithBacking(g.server, g.link, g.clientCfg, g.backing)
-		if err != nil {
-			return fmt.Errorf("core: NFS client %d: %w", u, err)
-		}
-		if !s.ColdStart(u) {
-			g.warmUserClient(g.inventory, g.warmer(), c, u)
-		}
-		fs = c
-	default:
-		// Local mode: the shared file system serves everyone; only the
-		// file tree is lazy.
-		return nil
+	// Local mode: the shared file system serves everyone; only the file
+	// tree is lazy.
+	if g.fleet != nil {
+		g.lazyFS[u] = g.measured(g.mountUser(s, u))
 	}
-	if g.faults != nil && g.spec.Fault.HasFSRules() {
-		fs = fault.NewFS(fs, g.faults)
-	}
-	g.lazyFS[u] = fs
 	return nil
+}
+
+// measured wraps fs in the fault engine when the plan injects file-system
+// errors: faults perturb the measured run, never construction or warming.
+func (g *Generator) measured(fs vfs.FileSystem) vfs.FileSystem {
+	if g.faults != nil && g.spec.Fault.HasFSRules() {
+		return fault.NewFS(fs, g.faults)
+	}
+	return fs
 }
 
 // setupCtx returns the clock used for file system creation: uncharged in
@@ -547,21 +445,37 @@ func (g *Generator) Sink() trace.Sink { return g.sink }
 func (g *Generator) Log() *trace.Log { return g.log }
 
 // Server returns island 0's simulated NFS server, or nil outside NFS mode.
-func (g *Generator) Server() *nfs.Server { return g.server }
+func (g *Generator) Server() *nfs.Server {
+	if len(g.servers) == 0 {
+		return nil
+	}
+	return g.servers[0]
+}
 
 // Link returns island 0's simulated network link, or nil outside NFS mode.
-func (g *Generator) Link() *netsim.Link { return g.link }
+func (g *Generator) Link() *netsim.Link {
+	if len(g.links) == 0 {
+		return nil
+	}
+	return g.links[0]
+}
 
-// Servers returns every island's server (length 1 outside fleet mode, nil
+// Servers returns every island's server (length 1 on one island, nil
 // outside NFS mode).
 func (g *Generator) Servers() []*nfs.Server { return g.servers }
 
-// Links returns every island's link (length 1 outside fleet mode, nil
-// outside NFS mode).
+// Links returns every island's link (length 1 on one island, nil outside
+// NFS mode).
 func (g *Generator) Links() []*netsim.Link { return g.links }
 
-// Fleet returns the scale-out topology, or nil in single-island mode.
-func (g *Generator) Fleet() *nfs.Fleet { return g.fleet }
+// Fleet returns the scale-out topology, or nil for the thesis testbed (one
+// island, a private client per user) and outside NFS mode.
+func (g *Generator) Fleet() *nfs.Fleet {
+	if len(g.servers) == 1 && !g.fleet.Pooled() {
+		return nil
+	}
+	return g.fleet
+}
 
 // WarmOps reports how many paths cache warming touched (opens + stats) —
 // the construction-cost figure the pooled-client mode bounds. With lazy

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"uswg/internal/config"
+	"uswg/internal/nfs"
 	"uswg/internal/trace"
 )
 
@@ -81,23 +82,27 @@ func TestFleetRunsAreReproducible(t *testing.T) {
 	}
 }
 
-// TestFleetLegacySpecUnchanged guards the 1-island identity: a spec with no
-// topology block must produce the exact trace it produced before the fleet
-// existed (same construction path, same event order, same RNG draws).
+// TestFleetLegacySpecUnchanged guards the thesis testbed's surface: a spec
+// with no topology block is the one-island per-user fleet, which reports no
+// scale-out Fleet, exposes one server and link through the island getters,
+// and runs its sessions on user 0's private *nfs.Client.
 func TestFleetLegacySpecUnchanged(t *testing.T) {
 	gen, err := NewGenerator(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen.Fleet() != nil {
-		t.Fatal("legacy spec must not construct a fleet")
+		t.Fatal("the one-island per-user testbed must not report a fleet")
 	}
 	if len(gen.Servers()) != 1 || len(gen.Links()) != 1 {
-		t.Errorf("legacy spec exposes %d servers / %d links, want 1/1",
+		t.Errorf("testbed exposes %d servers / %d links, want 1/1",
 			len(gen.Servers()), len(gen.Links()))
 	}
 	if gen.Servers()[0] != gen.Server() || gen.Links()[0] != gen.Link() {
-		t.Error("fleet accessors must alias the legacy singletons")
+		t.Error("Server/Link must alias island 0")
+	}
+	if _, ok := gen.FS().(*nfs.Client); !ok {
+		t.Errorf("FS() = %T, want user 0's *nfs.Client", gen.FS())
 	}
 }
 

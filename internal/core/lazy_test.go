@@ -9,7 +9,7 @@ import (
 	"uswg/internal/trace"
 )
 
-// lazySpec returns a single-island NFS spec with more users than sessions,
+// lazySpec returns a one-island NFS spec with more users than sessions,
 // so the lazy path exercises both materialized and never-arriving users.
 func lazySpec() *config.Spec {
 	spec := config.Default()
@@ -33,39 +33,44 @@ func lazySpec() *config.Spec {
 // the eager stream, every other per-user draw has a private stream, and
 // materialization replays construction in eager user order.
 func TestLazyMatchesEagerByteIdentical(t *testing.T) {
-	run := func(lazy bool) (*Result, []trace.Record, int) {
-		spec := lazySpec()
-		spec.LazyUsers = lazy
-		gen, err := NewGenerator(spec)
-		if err != nil {
-			t.Fatal(err)
+	// nil is the thesis testbed (one island, a private client per user);
+	// two per-user islands build each user's private clients on demand.
+	for _, topo := range []*config.Topology{nil, {Servers: 2}} {
+		run := func(lazy bool) (*Result, []trace.Record, int) {
+			spec := lazySpec()
+			spec.FS.Topology = topo
+			spec.LazyUsers = lazy
+			gen, err := NewGenerator(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := gen.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, gen.Log().Records(), gen.MaterializedUsers()
 		}
-		res, err := gen.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, gen.Log().Records(), gen.MaterializedUsers()
-	}
-	eagerRes, eagerRecs, eagerBuilt := run(false)
-	lazyRes, lazyRecs, lazyBuilt := run(true)
+		eagerRes, eagerRecs, eagerBuilt := run(false)
+		lazyRes, lazyRecs, lazyBuilt := run(true)
 
-	if eagerBuilt != 12 {
-		t.Errorf("eager built %d user trees, want 12", eagerBuilt)
-	}
-	if lazyBuilt != 6 {
-		t.Errorf("lazy built %d user trees, want 6 (one per session-holding user)", lazyBuilt)
-	}
-	if len(eagerRecs) == 0 {
-		t.Fatal("eager run produced no records")
-	}
-	if !reflect.DeepEqual(eagerRecs, lazyRecs) {
-		t.Fatalf("record streams differ: eager %d records, lazy %d", len(eagerRecs), len(lazyRecs))
-	}
-	if eagerRes.VirtualDuration != lazyRes.VirtualDuration {
-		t.Errorf("virtual duration: eager %v, lazy %v", eagerRes.VirtualDuration, lazyRes.VirtualDuration)
-	}
-	if !reflect.DeepEqual(eagerRes.Analysis, lazyRes.Analysis) {
-		t.Error("analyses differ between eager and lazy runs")
+		if eagerBuilt != 12 {
+			t.Errorf("topology %+v: eager built %d user trees, want 12", topo, eagerBuilt)
+		}
+		if lazyBuilt != 6 {
+			t.Errorf("topology %+v: lazy built %d user trees, want 6 (one per session-holding user)", topo, lazyBuilt)
+		}
+		if len(eagerRecs) == 0 {
+			t.Fatalf("topology %+v: eager run produced no records", topo)
+		}
+		if !reflect.DeepEqual(eagerRecs, lazyRecs) {
+			t.Fatalf("topology %+v: record streams differ: eager %d records, lazy %d", topo, len(eagerRecs), len(lazyRecs))
+		}
+		if eagerRes.VirtualDuration != lazyRes.VirtualDuration {
+			t.Errorf("topology %+v: virtual duration: eager %v, lazy %v", topo, eagerRes.VirtualDuration, lazyRes.VirtualDuration)
+		}
+		if !reflect.DeepEqual(eagerRes.Analysis, lazyRes.Analysis) {
+			t.Errorf("topology %+v: analyses differ between eager and lazy runs", topo)
+		}
 	}
 }
 

@@ -92,37 +92,44 @@ func TestChurnRunIsDeterministic(t *testing.T) {
 }
 
 // TestColdArrivalSkipsWarming: a user arriving after t=0 must not be
-// pre-warmed and must issue nothing before its boot time.
+// pre-warmed and must issue nothing before its boot time — its private
+// workstation boots cold on one island and on a multi-island fleet alike.
 func TestColdArrivalSkipsWarming(t *testing.T) {
-	spec := config.Default()
-	spec.Users = 2
-	spec.Sessions = 8
-	spec.SystemFiles = 30
-	spec.FilesPerUser = 20
-	arrive := config.Const(2e6)
-	spec.UserTypes = []config.UserType{{
-		Name: config.UserExtremelyHeavy, ThinkTime: config.Const(0), Fraction: 1,
-		Lifecycle: &config.Lifecycle{Arrive: &arrive},
-	}}
-	gen, err := NewGenerator(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := gen.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Analysis.Ops == 0 {
-		t.Fatal("arriving users ran no operations")
-	}
-	early := 0
-	gen.Log().Each(func(rec *trace.Record) {
-		if rec.Start < 2e6 {
-			early++
+	for _, topo := range []*config.Topology{nil, {Servers: 2}} {
+		spec := config.Default()
+		spec.Users = 2
+		spec.Sessions = 8
+		spec.SystemFiles = 30
+		spec.FilesPerUser = 20
+		spec.FS.Topology = topo
+		arrive := config.Const(2e6)
+		spec.UserTypes = []config.UserType{{
+			Name: config.UserExtremelyHeavy, ThinkTime: config.Const(0), Fraction: 1,
+			Lifecycle: &config.Lifecycle{Arrive: &arrive},
+		}}
+		gen, err := NewGenerator(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if early > 0 {
-		t.Errorf("%d records start before the constant 2 s arrival time", early)
+		if got := gen.WarmOps(); got != 0 {
+			t.Errorf("topology %+v: %d warm ops for users that all arrive cold", topo, got)
+		}
+		res, err := gen.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Analysis.Ops == 0 {
+			t.Fatalf("topology %+v: arriving users ran no operations", topo)
+		}
+		early := 0
+		gen.Log().Each(func(rec *trace.Record) {
+			if rec.Start < 2e6 {
+				early++
+			}
+		})
+		if early > 0 {
+			t.Errorf("topology %+v: %d records start before the constant 2 s arrival time", topo, early)
+		}
 	}
 }
 

@@ -387,6 +387,11 @@ func NewClientWithBacking(server *Server, link *netsim.Link, cfg ClientConfig, b
 	if backing == nil {
 		return nil, fmt.Errorf("nfs: nil backing")
 	}
+	return newClient(server, link, cfg, backing), nil
+}
+
+// newClient builds a client from already-validated parts.
+func newClient(server *Server, link *netsim.Link, cfg ClientConfig, backing *vfs.MemFS) *Client {
 	c := &Client{
 		cfg:     cfg,
 		backing: backing,
@@ -399,7 +404,7 @@ func NewClientWithBacking(server *Server, link *netsim.Link, cfg ClientConfig, b
 	if cfg.CacheBlocks > 0 {
 		c.pages = cache.NewLRU(cfg.CacheBlocks)
 	}
-	return c, nil
+	return c
 }
 
 // Backing exposes the namespace shadow (for the FSC to size-check, and for

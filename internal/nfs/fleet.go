@@ -16,8 +16,9 @@ import (
 type FleetConfig struct {
 	// Servers is the island count (at least 1).
 	Servers int
-	// Pool is the pooled-client count per island. 0 provisions one client
-	// per user on every island (the legacy density, scaled out); K > 0
+	// Pool is the pooled-client count per island. 0 gives every user a
+	// private client on every island, built when the user is mounted
+	// (FSForUser) — the thesis testbed's one workstation per user; K > 0
 	// multiplexes all users mapped to an island over K clients
 	// (user -> slot user mod K), which is what makes construction and
 	// warming proportional to pool size and distinct files.
@@ -32,15 +33,15 @@ type FleetConfig struct {
 }
 
 // Island is one self-contained serving unit: a server, its wire, and the
-// clients mounted on it.
+// pooled clients mounted on it.
 type Island struct {
 	Server *Server
 	Link   *netsim.Link
 	pool   []*Client
 }
 
-// Pool returns the island's clients (pooled mode: the K pool slots;
-// per-user mode: one client per user).
+// Pool returns the island's pooled clients (the K pool slots; empty in
+// per-user mode, where each user's mount owns its private clients).
 func (i *Island) Pool() []*Client { return i.pool }
 
 // Fleet is a set of islands behind a deterministic namespace router. All
@@ -48,11 +49,14 @@ func (i *Island) Pool() []*Client { return i.pool }
 // descriptors are globally unique and the router only tracks which client
 // opened each FD. Routing is a pure function of (seed, path, island
 // count): every construction with the same spec places every path — and
-// therefore every RPC — identically, at any scheduler interleaving.
+// therefore every RPC — identically, at any scheduler interleaving. The
+// thesis testbed (one server, one private workstation per user) is the
+// one-island per-user fleet, whose mounts are plain clients.
 type Fleet struct {
 	islands   []*Island
 	setup     []*Client // one throwaway setup client per island
-	width     int       // clients per island
+	width     int       // pooled clients per island, 0 in per-user mode
+	client    ClientConfig
 	salt      uint64
 	replicate bool
 	backing   *vfs.MemFS
@@ -60,24 +64,23 @@ type Fleet struct {
 	cslab     []*Client  // client-table arena for FSForUser
 }
 
-// NewFleet builds servers, links, and client pools for the given topology.
-// users sizes the per-user client mode (Pool == 0); seed derives the
-// routing salt and the per-island construction streams.
-func NewFleet(env *sim.Env, cfg FleetConfig, users int, seed uint64, backing *vfs.MemFS) (*Fleet, error) {
+// NewFleet builds servers, links, setup clients, and (in pooled mode) the
+// client pools for the given topology; seed derives the routing salt.
+func NewFleet(env *sim.Env, cfg FleetConfig, seed uint64, backing *vfs.MemFS) (*Fleet, error) {
 	if cfg.Servers < 1 {
 		return nil, fmt.Errorf("nfs: fleet needs at least 1 server, got %d", cfg.Servers)
 	}
-	width := cfg.Pool
-	if width <= 0 {
-		width = users
+	if err := cfg.Client.Validate(); err != nil {
+		return nil, err
 	}
-	if width < 1 {
-		width = 1
+	if backing == nil {
+		return nil, fmt.Errorf("nfs: nil backing")
 	}
 	f := &Fleet{
 		islands:   make([]*Island, 0, cfg.Servers),
 		setup:     make([]*Client, 0, cfg.Servers),
-		width:     width,
+		width:     max(cfg.Pool, 0),
+		client:    cfg.Client,
 		salt:      rng.DeriveSeed(seed, "topology"),
 		replicate: cfg.Replicate,
 		backing:   backing,
@@ -89,30 +92,27 @@ func NewFleet(env *sim.Env, cfg FleetConfig, users int, seed uint64, backing *vf
 		if err != nil {
 			return nil, err
 		}
-		link := netsim.NewLink(env, cfg.Client.Net)
-		isl := &Island{Server: srv, Link: link, pool: make([]*Client, 0, width)}
-		for k := 0; k < width; k++ {
-			c, err := NewClientWithBacking(srv, link, cfg.Client, backing)
-			if err != nil {
-				return nil, err
-			}
-			isl.pool = append(isl.pool, c)
-		}
-		su, err := NewClientWithBacking(srv, link, cfg.Client, backing)
-		if err != nil {
-			return nil, err
+		isl := &Island{Server: srv, Link: netsim.NewLink(env, cfg.Client.Net), pool: make([]*Client, f.width)}
+		for k := range isl.pool {
+			isl.pool[k] = f.newClient(isl)
 		}
 		f.islands = append(f.islands, isl)
-		f.setup = append(f.setup, su)
+		f.setup = append(f.setup, f.newClient(isl))
 	}
 	return f, nil
+}
+
+// newClient mounts a fresh client on isl; NewFleet validated the config.
+func (f *Fleet) newClient(isl *Island) *Client {
+	return newClient(isl.Server, isl.Link, f.client, f.backing)
 }
 
 // Islands returns the fleet's islands in construction order.
 func (f *Fleet) Islands() []*Island { return f.islands }
 
-// Width is the number of clients per island.
-func (f *Fleet) Width() int { return f.width }
+// Pooled reports whether users share pooled clients (Pool > 0) rather than
+// each owning private ones.
+func (f *Fleet) Pooled() bool { return f.width > 0 }
 
 // Backing returns the shared namespace shadow.
 func (f *Fleet) Backing() *vfs.MemFS { return f.backing }
@@ -161,25 +161,31 @@ func (f *Fleet) readIsland(home int, path string) int {
 }
 
 // ClientFor returns the client user uses on island isl (the user's pool
-// slot). The slot assignment user mod width is part of the deterministic
-// placement contract.
+// slot; pooled mode only). The slot assignment user mod width is part of
+// the deterministic placement contract.
 func (f *Fleet) ClientFor(user, isl int) *Client {
 	return f.islands[isl].pool[user%f.width]
 }
 
-// ReadClientFor returns the client user uses to read path — on the home
-// replica for replicated system paths, else on the primary.
+// ReadClientFor returns the pool slot user reads path through — on the home
+// replica for replicated system paths, else on the primary (pooled mode
+// only).
 func (f *Fleet) ReadClientFor(user int, path string) *Client {
 	return f.ClientFor(user, f.readIsland(user%len(f.islands), path))
 }
 
-// FSForUser returns user's mount view of the fleet: a router that
-// dispatches each VFS call to the owning island's client for that user.
-// Routers and their client tables come from per-fleet slabs — provisioning a
-// large population costs one allocation per chunk, and the FD-ownership map
-// appears only once a user actually opens something.
+// FSForUser returns user's mount view of the fleet. In per-user mode it
+// builds the user's private client on every island; in pooled mode it binds
+// the user's pool slots. A one-island mount is that island's client itself;
+// otherwise it is a router dispatching each VFS call to the owning island's
+// client. Routers and their client tables come from per-fleet slabs —
+// provisioning a large population costs one allocation per chunk, and the
+// FD-ownership map appears only once a user actually opens something.
 func (f *Fleet) FSForUser(user int) vfs.FileSystem {
 	n := len(f.islands)
+	if n == 1 {
+		return f.userClient(user, 0)
+	}
 	if len(f.rslab) == 0 {
 		f.rslab = make([]routerFS, 64)
 	}
@@ -191,15 +197,28 @@ func (f *Fleet) FSForUser(user int) vfs.FileSystem {
 	r.f, r.home = f, user%n
 	r.clients, f.cslab = f.cslab[:n:n], f.cslab[n:]
 	for i := range f.islands {
-		r.clients[i] = f.ClientFor(user, i)
+		r.clients[i] = f.userClient(user, i)
 	}
 	return r
 }
 
-// SetupFS returns the construction-time mount: a router over one throwaway
-// setup client per island, so FSC writes build cache state on the owning
-// servers without polluting any user's client cache.
+// userClient returns user's client on island isl: its pool slot, or a new
+// private client in per-user mode.
+func (f *Fleet) userClient(user, isl int) *Client {
+	if f.Pooled() {
+		return f.ClientFor(user, isl)
+	}
+	return f.newClient(f.islands[isl])
+}
+
+// SetupFS returns the construction-time mount over one throwaway setup
+// client per island (the client itself on one island), so FSC writes build
+// cache state on the owning servers without polluting any user's client
+// cache.
 func (f *Fleet) SetupFS() vfs.FileSystem {
+	if len(f.setup) == 1 {
+		return f.setup[0]
+	}
 	return &routerFS{f: f, home: 0, clients: f.setup}
 }
 
@@ -355,10 +374,10 @@ func (r *routerFS) ReadDir(ctx vfs.Ctx, path string, k func([]string, error)) {
 	r.clients[isl].ReadDir(ctx, path, k)
 }
 
-// Crash implements vfs.Crasher: a workstation crash in pooled mode reclaims
-// the user's pool slot on every island — those clients' caches are lost
-// (and with them any other user multiplexed onto the same slot, which is
-// the cost of sharing the machine). Open FDs tracked by the router are
+// Crash implements vfs.Crasher: a workstation crash loses the user's client
+// caches on every island — in pooled mode the user's pool slots, and with
+// them any other user multiplexed onto the same slot, which is the cost of
+// sharing the machine. Open FDs tracked by the router are
 // dropped; the slot is reused as-is after reboot.
 func (r *routerFS) Crash() {
 	for _, c := range r.clients {

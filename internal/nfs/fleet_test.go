@@ -8,7 +8,7 @@ import (
 	"uswg/internal/vfs"
 )
 
-func testFleet(t *testing.T, servers, pool, users int, seed uint64, replicate bool) *Fleet {
+func testFleet(t *testing.T, servers, pool int, seed uint64, replicate bool) *Fleet {
 	t.Helper()
 	f, err := NewFleet(sim.NewEnv(), FleetConfig{
 		Servers:   servers,
@@ -16,7 +16,7 @@ func testFleet(t *testing.T, servers, pool, users int, seed uint64, replicate bo
 		Replicate: replicate,
 		Server:    testServerConfig(),
 		Client:    testClientConfig(),
-	}, users, seed, vfs.NewMemFS())
+	}, seed, vfs.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +33,8 @@ func TestFleetRoutingDeterministic(t *testing.T) {
 			paths = append(paths, fmt.Sprintf("/u%d/text-file/f%d", u, i))
 		}
 	}
-	a := testFleet(t, 4, 8, 100, 42, false)
-	b := testFleet(t, 4, 8, 100, 42, false)
+	a := testFleet(t, 4, 8, 42, false)
+	b := testFleet(t, 4, 8, 42, false)
 	for _, p := range paths {
 		if a.Route(p) != b.Route(p) {
 			t.Fatalf("route of %q differs across constructions: %d vs %d", p, a.Route(p), b.Route(p))
@@ -46,7 +46,7 @@ func TestFleetRoutingDeterministic(t *testing.T) {
 			t.Fatal("route depends on query order")
 		}
 	}
-	c := testFleet(t, 4, 8, 100, 43, false)
+	c := testFleet(t, 4, 8, 43, false)
 	diff := 0
 	for _, p := range paths {
 		if a.Route(p) != c.Route(p) {
@@ -61,7 +61,7 @@ func TestFleetRoutingDeterministic(t *testing.T) {
 // TestFleetRouteByDirectory checks that a directory's files co-locate: the
 // hash keys on the parent directory, so a category's files land together.
 func TestFleetRouteByDirectory(t *testing.T) {
-	f := testFleet(t, 8, 4, 10, 7, false)
+	f := testFleet(t, 8, 4, 7, false)
 	home := f.Route("/u3/text-file/f0")
 	for i := 1; i < 20; i++ {
 		if got := f.Route(fmt.Sprintf("/u3/text-file/f%d", i)); got != home {
@@ -82,7 +82,7 @@ func TestFleetRouteByDirectory(t *testing.T) {
 // reads are served from the requesting user's home island, writes and
 // non-system paths stay on the hash-designated primary.
 func TestFleetReplicateSystemReads(t *testing.T) {
-	f := testFleet(t, 4, 2, 8, 11, true)
+	f := testFleet(t, 4, 2, 11, true)
 	const sys = "/sys/temporary/f1"
 	for isl := 0; isl < 4; isl++ {
 		if !f.Serves(isl, sys) {
@@ -104,13 +104,15 @@ func TestFleetReplicateSystemReads(t *testing.T) {
 	}
 }
 
-// TestFleetPoolSlots checks the pooled-client provisioning: width clients
-// per island plus one setup client, users multiplexed user mod width.
+// TestFleetPoolSlots checks the client provisioning. Pooled: width clients
+// per island, users multiplexed user mod width. Per-user: no clients until a
+// user is mounted, then private ones — the bare client on a one-island fleet
+// (the thesis testbed), a router over one client per island otherwise.
 func TestFleetPoolSlots(t *testing.T) {
-	const pool, users = 4, 100
-	f := testFleet(t, 2, pool, users, 3, false)
-	if f.Width() != pool {
-		t.Fatalf("width = %d, want %d", f.Width(), pool)
+	const pool = 4
+	f := testFleet(t, 2, pool, 3, false)
+	if !f.Pooled() {
+		t.Fatal("pool > 0 must be pooled")
 	}
 	for _, isl := range f.Islands() {
 		if len(isl.Pool()) != pool {
@@ -123,10 +125,36 @@ func TestFleetPoolSlots(t *testing.T) {
 	if f.ClientFor(1, 0) == f.ClientFor(2, 0) {
 		t.Error("users 1 and 2 should use different pool slots")
 	}
-	// Per-user mode provisions one client per user.
-	g := testFleet(t, 2, 0, 5, 3, false)
-	if g.Width() != 5 {
-		t.Errorf("per-user width = %d, want 5", g.Width())
+
+	one := testFleet(t, 1, 0, 3, false)
+	if one.Pooled() || len(one.Islands()[0].Pool()) != 0 {
+		t.Fatal("per-user fleet must build no pooled clients")
+	}
+	a, ok := one.FSForUser(0).(*Client)
+	if !ok {
+		t.Fatalf("one-island mount is %T, want *Client", one.FSForUser(0))
+	}
+	b, _ := one.FSForUser(1).(*Client)
+	if a == b || b == nil {
+		t.Error("each user must get a distinct private client")
+	}
+	if _, ok := one.SetupFS().(*Client); !ok {
+		t.Errorf("one-island setup mount is %T, want *Client", one.SetupFS())
+	}
+
+	two := testFleet(t, 2, 0, 3, false)
+	r0, ok := two.FSForUser(0).(*routerFS)
+	if !ok {
+		t.Fatalf("two-island mount is %T, want a router", two.FSForUser(0))
+	}
+	r1 := two.FSForUser(1).(*routerFS)
+	for isl := range two.Islands() {
+		if r0.clients[isl] == nil || r0.clients[isl] == r1.clients[isl] {
+			t.Errorf("island %d: users 0 and 1 must hold distinct private clients", isl)
+		}
+	}
+	if r0.clients[0] == r0.clients[1] {
+		t.Error("a user's clients on different islands must differ")
 	}
 }
 
@@ -134,7 +162,7 @@ func TestFleetPoolSlots(t *testing.T) {
 // ownership: ops on an FD go to the client that opened it, and a bad FD is
 // rejected with vfs.ErrBadFD without touching any island.
 func TestRouterFSTracksFDs(t *testing.T) {
-	f := testFleet(t, 4, 2, 8, 5, false)
+	f := testFleet(t, 4, 2, 5, false)
 	ctx := &vfs.ManualClock{}
 	root := vfs.Sync{FS: f.SetupFS()}
 	if err := root.Mkdir(ctx, "/u1"); err != nil {

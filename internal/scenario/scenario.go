@@ -186,17 +186,14 @@ type Workload struct {
 	// windowed time-series collector with this window width, virtual µs
 	// (required by the transient output kind).
 	TraceWindowUS float64 `json:"trace_window_us,omitempty"`
-	// NFSDs overrides the simulated server's daemon count. Legacy alias:
-	// Topology.NFSDs is the consolidated form, and setting both is
-	// rejected.
+	// NFSDs overrides every island's server daemon count.
 	NFSDs int `json:"nfsds,omitempty"`
 	// FS replaces the whole file-system spec (kind, server/client/cache
 	// knobs). Applied before NFSDs and Topology.
 	FS *config.FSSpec `json:"fs,omitempty"`
-	// Topology is the consolidated serving-fleet block: island count,
-	// per-island nfsds, pooled clients, placement, and server/client/net
-	// overrides. Applied after FS; BindServers/BindClientPool axes
-	// override its counts per point.
+	// Topology is the serving fleet's shape: island count, pooled clients,
+	// placement. Applied after FS; BindServers/BindClientPool axes override
+	// its counts per point.
 	Topology *config.Topology `json:"topology,omitempty"`
 	// MaxOpsPerSession bounds a session (0 keeps the default).
 	MaxOpsPerSession int `json:"max_ops_per_session,omitempty"`
@@ -526,11 +523,6 @@ func (sc *Scenario) Validate() error {
 	if t := sc.Base.Topology; t != nil {
 		if err := t.Validate(); err != nil {
 			return fmt.Errorf("scenario: workload topology: %w", err)
-		}
-		// One form per knob: the legacy nfsds alias and the consolidated
-		// block must not both set the daemon count.
-		if sc.Base.NFSDs > 0 && t.NFSDs > 0 {
-			return fmt.Errorf("%w: workload sets both the legacy nfsds field and topology.nfsds — use one form", ErrScenario)
 		}
 		if sc.Base.FS != nil && sc.Base.FS.Topology != nil {
 			return fmt.Errorf("%w: workload sets topology both inline and inside fs — use one form", ErrScenario)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"uswg/internal/config"
@@ -70,8 +71,9 @@ func TestSweepServersBind(t *testing.T) {
 	}
 }
 
-// TestTopologyWorkloadValidation covers the one-form-per-knob rule at the
-// scenario layer and the sweep-axis integer requirements.
+// TestTopologyWorkloadValidation covers the one-block rule at the scenario
+// layer (topology inline or inside fs, not both) and the sweep-axis integer
+// requirements.
 func TestTopologyWorkloadValidation(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{
@@ -86,14 +88,6 @@ func TestTopologyWorkloadValidation(t *testing.T) {
 		sc.Base.Topology = &config.Topology{Servers: 2, ClientPool: 4}
 		if err := sc.Validate(); err != nil {
 			t.Errorf("unexpected error: %v", err)
-		}
-	})
-	t.Run("legacy nfsds + topology nfsds", func(t *testing.T) {
-		sc := base()
-		sc.Base.NFSDs = 4
-		sc.Base.Topology = &config.Topology{NFSDs: 2}
-		if err := sc.Validate(); err == nil {
-			t.Error("expected both-forms rejection")
 		}
 	})
 	t.Run("topology inline and inside fs", func(t *testing.T) {
@@ -127,4 +121,30 @@ func TestTopologyWorkloadValidation(t *testing.T) {
 			t.Error("expected positive-axis rejection")
 		}
 	})
+}
+
+// TestWorkloadTopologyNFSDsRejected pins the one spelling of the daemon
+// count: the workload's nfsds field. A scenario that writes it inside the
+// topology block fails to decode with an unknown-field error.
+func TestWorkloadTopologyNFSDsRejected(t *testing.T) {
+	sc, ok := Lookup("scale5.2pool")
+	if !ok {
+		t.Fatal("scale5.2pool not registered")
+	}
+	raw, err := sc.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	if _, err := Decode(strings.NewReader(doc)); err != nil {
+		t.Fatalf("registered scenario does not decode: %v", err)
+	}
+	const shape = `"servers": 4`
+	if !strings.Contains(doc, shape) {
+		t.Fatalf("scale5.2pool lacks %s:\n%s", shape, doc)
+	}
+	bad := strings.Replace(doc, shape, shape+`, "nfsds": 2`, 1)
+	if _, err := Decode(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("workload topology.nfsds: err = %v, want an unknown-field error", err)
+	}
 }

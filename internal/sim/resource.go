@@ -73,7 +73,8 @@ func (r *Resource) Acquire(p *Proc, k K) {
 // the goroutine kernel scheduled its wake-up event). The releasing process
 // transfers its server slot to the waiter, so inUse stays unchanged; the
 // wait is accounted here — the grant event fires at this same instant, so
-// the total is identical to accounting inside the woken continuation.
+// the total is identical to accounting inside the woken continuation. A
+// Release with no server held is a caller bug and panics.
 func (r *Resource) Release() {
 	if len(r.queue) > 0 {
 		next := r.queue[0]
@@ -83,11 +84,11 @@ func (r *Resource) Release() {
 		r.env.schedule(r.env.now, next.k)
 		return
 	}
+	if r.inUse == 0 {
+		panic("sim: Resource.Release without a matching Acquire")
+	}
 	r.account()
 	r.inUse--
-	if r.inUse < 0 {
-		r.inUse = 0
-	}
 }
 
 func (r *Resource) account() {

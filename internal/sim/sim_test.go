@@ -251,6 +251,32 @@ func TestResourceStats(t *testing.T) {
 	}
 }
 
+// TestResourceReleaseWithoutAcquirePanics: releasing a server nobody holds
+// is a broken invariant, reported loudly rather than clamped away — both on
+// a fresh resource and after the last holder already released.
+func TestResourceReleaseWithoutAcquirePanics(t *testing.T) {
+	release := func(res *Resource) (msg any) {
+		defer func() { msg = recover() }()
+		res.Release()
+		return nil
+	}
+	env := NewEnv()
+	res := NewResource(env, 2)
+	if msg := release(res); msg == nil {
+		t.Error("Release on a fresh resource did not panic")
+	}
+	res.Acquire(nil, func() {})
+	if msg := release(res); msg != nil {
+		t.Fatalf("matched Release panicked: %v", msg)
+	}
+	if msg := release(res); msg == nil {
+		t.Error("second Release after one Acquire did not panic")
+	}
+	if res.InUse() != 0 {
+		t.Errorf("InUse = %d after the failed Release, want 0", res.InUse())
+	}
+}
+
 func TestStalledDetection(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, 1)
