@@ -3,7 +3,6 @@ package nfs
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"uswg/internal/cache"
 	"uswg/internal/netsim"
@@ -97,26 +96,29 @@ type clientFD struct {
 // Client is a simulated NFS client implementing vfs.FileSystem. The file
 // namespace and sizes live in a cost-free MemFS shadow; all time comes from
 // client CPU, the shared wire, and the server.
+//
+// A Client is not safe for concurrent use. It is driven only by the DES
+// scheduler, which runs exactly one simulated process at a time, or by the
+// zero-clock warmer before the run, so its descriptor table, attribute
+// cache, page cache, dirty spans and op pool need no lock.
 type Client struct {
 	cfg     ClientConfig
 	backing *vfs.MemFS
 	server  *Server
 	link    *netsim.Link // nil outside a DES
 
-	mu    sync.Mutex
 	fds   map[vfs.FD]clientFD
 	attrs map[string]float64 // path -> expiry time, µs
 
-	// Client page cache (nil when CacheBlocks is 0). Guarded by the DES
-	// scheduler: exactly one simulated process runs at a time.
+	// Client page cache (nil when CacheBlocks is 0).
 	pages       *cache.LRU
 	dirty       map[uint64]dirtySpan // unflushed write-behind data by inode
-	dirtyBlocks int64
+	dirtyBlocks int64                // spanBlocks summed over dirty, kept incrementally
 
-	// ops is the per-client free list of pooled data-op states (guarded by
-	// the DES scheduler, like the page cache). Steady state keeps every
-	// read's page walk and every fetch/push loop allocation-free: the
-	// continuation closures are built once per opState and reused.
+	// ops is the per-client free list of pooled data-op states. Steady
+	// state keeps every read's page walk and every fetch/push loop
+	// allocation-free: the continuation closures are built once per
+	// opState and reused.
 	ops []*opState
 
 	rpcs    int64
@@ -454,8 +456,6 @@ func (c *Client) attrFresh(ctx vfs.Ctx, path string) bool {
 	if c.cfg.AttrCacheTimeout <= 0 {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	expiry, ok := c.attrs[path]
 	return ok && ctx.Now() < expiry
 }
@@ -464,26 +464,18 @@ func (c *Client) setAttr(ctx vfs.Ctx, path string) {
 	if c.cfg.AttrCacheTimeout <= 0 {
 		return
 	}
-	c.mu.Lock()
 	c.attrs[path] = ctx.Now() + c.cfg.AttrCacheTimeout
-	c.mu.Unlock()
 }
 
 func (c *Client) dropAttr(path string) {
-	c.mu.Lock()
 	delete(c.attrs, path)
-	c.mu.Unlock()
 }
 
 func (c *Client) trackFD(fd vfs.FD, path string, ino uint64) {
-	c.mu.Lock()
 	c.fds[fd] = clientFD{path: path, ino: ino}
-	c.mu.Unlock()
 }
 
 func (c *Client) fdInfo(fd vfs.FD) (clientFD, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	info, ok := c.fds[fd]
 	return info, ok
 }
@@ -726,6 +718,7 @@ func (st *opState) install() {
 	if !ok {
 		span = dirtySpan{lo: off, hi: off + got}
 	} else {
+		c.dirtyBlocks -= c.spanBlocks(span)
 		if off < span.lo {
 			span.lo = off
 		}
@@ -734,7 +727,7 @@ func (st *opState) install() {
 		}
 	}
 	c.dirty[st.ino] = span
-	c.recountDirty()
+	c.dirtyBlocks += c.spanBlocks(span)
 	if c.dirtyBlocks > int64(c.cfg.maxDirty()) {
 		c.flush(st.ctx, st.ino, st.flushedFn)
 		return
@@ -758,14 +751,10 @@ func (c *Client) push(ctx vfs.Ctx, ino uint64, off, n int64, k func()) {
 	st.startTransfer(off, n, true, st.doneFn)
 }
 
-// recountDirty recomputes the dirty block total across files.
-func (c *Client) recountDirty() {
+// spanBlocks returns the number of wire blocks a dirty span touches.
+func (c *Client) spanBlocks(s dirtySpan) int64 {
 	bs := c.cfg.WireBlock
-	var total int64
-	for _, s := range c.dirty {
-		total += (s.hi-1)/bs - s.lo/bs + 1
-	}
-	c.dirtyBlocks = total
+	return (s.hi-1)/bs - s.lo/bs + 1
 }
 
 // flush writes the inode's dirty span to the server, drops it, and runs k.
@@ -776,16 +765,16 @@ func (c *Client) flush(ctx vfs.Ctx, ino uint64, k func()) {
 		return
 	}
 	delete(c.dirty, ino)
-	c.recountDirty()
+	c.dirtyBlocks -= c.spanBlocks(span)
 	c.flushes++
 	c.push(ctx, ino, span.lo, span.hi-span.lo, k)
 }
 
 // discardDirty forgets unflushed data for an inode (truncate or unlink).
 func (c *Client) discardDirty(ino uint64) {
-	if _, ok := c.dirty[ino]; ok {
+	if span, ok := c.dirty[ino]; ok {
 		delete(c.dirty, ino)
-		c.recountDirty()
+		c.dirtyBlocks -= c.spanBlocks(span)
 	}
 	if c.pages != nil {
 		c.pages.InvalidateFile(ino)
@@ -802,14 +791,12 @@ func (c *Client) discardDirty(ino uint64) {
 // statistics but empties, so the rebooted user re-misses everything — the
 // cold-cache rejoin cost. Implements vfs.Crasher.
 func (c *Client) Crash() {
-	c.mu.Lock()
 	fds := make([]vfs.FD, 0, len(c.fds))
 	for fd := range c.fds {
 		fds = append(fds, fd)
 	}
 	c.fds = make(map[vfs.FD]clientFD)
 	c.attrs = make(map[string]float64)
-	c.mu.Unlock()
 	//wlint:allow hotalloc runs once per workstation crash, not per op
 	sort.Slice(fds, func(i, j int) bool { return fds[i] < fds[j] })
 	sh := c.shadow()
@@ -875,9 +862,7 @@ func (st *opState) closeFinish() {
 		k(err)
 		return
 	}
-	c.mu.Lock()
 	delete(c.fds, fd)
-	c.mu.Unlock()
 	k(nil)
 }
 
