@@ -1,9 +1,9 @@
 // Command experiments regenerates the thesis's evaluation tables and
-// figures (Chapter 5), plus the fault5.x resilience family (the same
-// workload replayed under injected faults). Every experiment is a
-// registered scenario (package scenario): -run resolves names through the
-// registry, -scenario executes a declarative JSON scenario file, and -dump
-// exports any built-in as JSON to start a new workload from.
+// figures (Chapter 5), plus the fault and scale families built on the same
+// workload. Every experiment is a registered scenario (package scenario):
+// -run resolves names through the registry, -scenario executes a
+// declarative JSON scenario file, and -dump exports any built-in as JSON to
+// start a new workload from.
 //
 // Usage:
 //
@@ -13,10 +13,9 @@
 //	experiments -scenario my.json        # a JSON-defined experiment
 //	experiments -dump fig5.6             # export a built-in as JSON
 //
-// Experiment names: table5.1 table5.2 table5.3 table5.4 fig5.1 fig5.2
-// fig5.3 (also covers 5.4/5.5) fig5.6 ... fig5.12, fault5.1 ... fault5.5,
-// scale5.1, or "all". Output is byte-identical at any -parallel setting,
-// fault experiments included.
+// `wlgen scenario list` prints every registered name; -run also accepts
+// "all", which runs them in that order, whole scenarios fanned out across
+// -parallel goroutines. Output is byte-identical at any -parallel setting.
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 	"os"
 	"strings"
 
-	"uswg/internal/experiments"
 	"uswg/internal/scenario"
 )
 
@@ -42,43 +40,64 @@ func main() {
 	flag.Parse()
 
 	if *dump != "" {
-		sc, ok := scenario.Lookup(strings.ToLower(*dump))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown scenario %q (try one of %s)\n",
-				*dump, strings.Join(scenario.Names(), ", "))
-			os.Exit(1)
+		sc, err := lookup(*dump)
+		if err == nil {
+			err = sc.Encode(os.Stdout)
 		}
-		if err := sc.Encode(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		return
 	}
 
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel}
-	var results []experiments.Renderer
-	var err error
-	if *scFile != "" {
-		var sc *scenario.Scenario
-		sc, err = scenario.Load(*scFile)
-		if err == nil {
-			var res scenario.Result
-			res, err = scenario.Run(context.Background(), sc, scenario.Options(opts))
-			if err == nil {
-				results = []experiments.Renderer{res}
-			}
+	var scs []*scenario.Scenario
+	switch {
+	case *scFile != "":
+		sc, err := scenario.Load(*scFile)
+		exitOn(err)
+		scs = []*scenario.Scenario{sc}
+	case strings.ToLower(*name) == "all":
+		for _, n := range scenario.Names() {
+			sc, _ := scenario.Lookup(n)
+			scs = append(scs, sc)
 		}
-	} else {
-		results, err = experiments.Run(strings.ToLower(*name), opts)
+	default:
+		sc, err := lookup(*name)
+		exitOn(err)
+		scs = []*scenario.Scenario{sc}
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
+
+	// Whole scenarios fan out like sweep points: each derives its seeds from
+	// opts alone and writes only its own slot, so output keeps Names() order.
+	ctx := context.Background()
+	opts := scenario.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel}
+	results := make([]scenario.Result, len(scs))
+	exitOn(scenario.ForEachPoint(ctx, opts, len(scs), func(i int) error {
+		res, err := scenario.Run(ctx, scs[i], opts)
+		if err != nil {
+			return fmt.Errorf("%s: %w", scs[i].Name, err)
+		}
+		results[i] = res
+		return nil
+	}))
 	for i, r := range results {
 		if i > 0 {
 			fmt.Println()
 		}
 		fmt.Println(r.Render())
+	}
+}
+
+// lookup resolves a registered scenario name or alias, case-insensitively.
+func lookup(name string) (*scenario.Scenario, error) {
+	sc, ok := scenario.Lookup(strings.ToLower(name))
+	if !ok {
+		return nil, fmt.Errorf("unknown scenario %q (try one of %s)", name, strings.Join(scenario.Names(), ", "))
+	}
+	return sc, nil
+}
+
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
 }

@@ -22,8 +22,8 @@ import (
 	"uswg/internal/vfs"
 )
 
-// Options tune a scenario run exactly as experiments.Options tuned the
-// compiled drivers: the zero value reproduces the thesis's parameters.
+// Options tune a scenario run: the zero value reproduces the thesis's
+// parameters.
 type Options struct {
 	// Seed overrides the default seed when nonzero.
 	Seed uint64
@@ -125,14 +125,6 @@ func (r *CurveResult) Table() (string, []string, [][]string) {
 	return r.Title, r.Headers, r.Rows
 }
 
-// TextResult is a fully rendered block (densities, histograms).
-type TextResult struct {
-	Text string
-}
-
-// Render returns the block.
-func (r *TextResult) Render() string { return r.Text }
-
 // TransientResult is the windowed time-series of one run: one row per
 // window plus the run's churn/outage/recovery summary lines.
 type TransientResult struct {
@@ -190,7 +182,7 @@ func (r *TransientResult) Table() (string, []string, [][]string) {
 // each fn writes only its own index's slot, the first error by index wins
 // (what a sequential loop would have returned), and a cancelled context
 // stops new points from starting. The engine fans sweep points out through
-// it, and package experiments reuses it for whole-experiment fan-out.
+// it, and cmd/experiments reuses it to fan out whole scenarios for -run all.
 func ForEachPoint(ctx context.Context, opts Options, n int, fn func(i int) error) error {
 	run := func(i int) error {
 		if err := ctx.Err(); err != nil {
@@ -318,8 +310,8 @@ func (sc *Scenario) coords(idx int) []int {
 	return out
 }
 
-// compilePoint builds the spec for one flat sweep index, replicating the
-// compiled drivers' per-point construction exactly: base knobs over
+// compilePoint builds the spec for one flat sweep index, the per-point
+// construction TestBuiltinsMatchRenderedGolden pins: base knobs over
 // config.Default(), axis bindings, the session formula, the seed salt, and
 // the (possibly dropped) fault plan.
 func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {

@@ -1,9 +1,12 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"uswg/internal/rng"
 )
 
 func TestNewHistogramErrors(t *testing.T) {
@@ -138,5 +141,26 @@ func TestHistogramSmoothed(t *testing.T) {
 	}
 	if s.Min != h.Min || s.Max != h.Max {
 		t.Error("smoothing should preserve range")
+	}
+}
+
+// BenchmarkAblationSmoothingWindow times the Figures 5.3-5.5 smoothing pass
+// across window widths, over a seeded 40-bin histogram shaped like the
+// access-per-byte panel (600 sessions on [0, 10)).
+func BenchmarkAblationSmoothingWindow(b *testing.B) {
+	h, err := NewHistogram(0, 10, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(1)
+	for i := 0; i < 600; i++ {
+		h.Add(2 * r.ExpFloat64())
+	}
+	for _, w := range []int{3, 5, 9} {
+		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = h.Smoothed(w)
+			}
+		})
 	}
 }
