@@ -35,13 +35,18 @@ func main() {
 		height    = flag.Int("height", 12, "plot height")
 	)
 	flag.Parse()
+	expGiven := false
+	flag.Visit(func(f *flag.Flag) { expGiven = expGiven || f.Name == "exp" })
+	if expGiven && !(*expMean > 0) {
+		fail(fmt.Errorf("-exp needs a positive mean, got %g", *expMean))
+	}
 
 	switch {
 	case *curvePath != "":
 		if err := renderCurve(*curvePath, *svgPath, *width, *height); err != nil {
 			fail(err)
 		}
-	case *expMean > 0:
+	case expGiven:
 		d, err := dist.NewExponential(*expMean)
 		if err != nil {
 			fail(err)

@@ -376,9 +376,11 @@ func (g *Generator) warmPoolSystem() {
 }
 
 // installLazy wires the lazy population's user hooks: materialization at
-// each arrival, binding release at each stream end. The per-user FS map
-// holds only live users — userFS falls back to the generator's default file
-// system for anyone else, which lazy validation guarantees is never a
+// each arrival, binding release at each stream end. usim fires installed
+// hooks for every user stream, so they are installed only for lazy_users;
+// eager populations are built, mounted, and warmed at setup. The per-user FS
+// map holds only live users — userFS falls back to the generator's default
+// file system for anyone else, which lazy validation guarantees is never a
 // session.
 func (g *Generator) installLazy(s *usim.Simulator) {
 	g.lazyFS = make(map[int]vfs.FileSystem)
@@ -436,9 +438,6 @@ func (g *Generator) FS() vfs.FileSystem { return g.fs }
 // Inventory returns the FSC's created file inventory.
 func (g *Generator) Inventory() *fsc.Inventory { return g.inventory }
 
-// Sink returns the trace sink operations are emitted to.
-func (g *Generator) Sink() trace.Sink { return g.sink }
-
 // Log returns the usage log (populated by Run), or nil when the spec
 // selected the streaming trace mode — streaming runs have an Analysis but
 // no materialized records.
@@ -450,14 +449,6 @@ func (g *Generator) Server() *nfs.Server {
 		return nil
 	}
 	return g.servers[0]
-}
-
-// Link returns island 0's simulated network link, or nil outside NFS mode.
-func (g *Generator) Link() *netsim.Link {
-	if len(g.links) == 0 {
-		return nil
-	}
-	return g.links[0]
 }
 
 // Servers returns every island's server (length 1 on one island, nil

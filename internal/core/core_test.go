@@ -40,7 +40,7 @@ func TestRunNFSMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen.Server() == nil || gen.Link() == nil {
+	if gen.Server() == nil || len(gen.Links()) == 0 {
 		t.Fatal("NFS mode must expose server and link")
 	}
 	res, err := gen.Run()
@@ -62,7 +62,7 @@ func TestRunNFSMode(t *testing.T) {
 	if gen.Server().Calls() == 0 {
 		t.Error("server saw no RPCs")
 	}
-	if gen.Link().Messages() == 0 {
+	if gen.Links()[0].Messages() == 0 {
 		t.Error("link carried no messages")
 	}
 }

@@ -167,7 +167,7 @@ func TestServerOutageHardMountRidesOut(t *testing.T) {
 	if res.VirtualDuration <= 10e6 {
 		t.Fatalf("run ended at %v µs, inside the outage window; outage check is vacuous", res.VirtualDuration)
 	}
-	link := gen.Link()
+	link := gen.Links()[0]
 	if link.Retransmits() == 0 {
 		t.Error("outage produced no retransmissions")
 	}

@@ -487,6 +487,16 @@ type pointRun struct {
 	haveWriteSplit bool
 }
 
+// runFirstPoint compiles and executes the scenario's first point: the one
+// run of the single-point kinds (usage, histograms, transient).
+func (sc *Scenario) runFirstPoint(opts Options) (*pointRun, error) {
+	ps, err := sc.compilePoint(opts, 0)
+	if err != nil {
+		return nil, err
+	}
+	return runPoint(ps)
+}
+
 // runPoint executes one compiled point.
 func runPoint(ps *pointSpec) (*pointRun, error) {
 	gen, err := core.NewGenerator(ps.spec)
@@ -826,20 +836,12 @@ func runCharacterization(sc *Scenario, opts Options) (Result, error) {
 // runUsage runs the workload with a full-record log and reduces it to
 // per-category usage set against the spec inputs (Table 5.2).
 func runUsage(sc *Scenario, opts Options) (Result, Stats, error) {
-	ps, err := sc.compilePoint(opts, 0)
+	ps, err := sc.runFirstPoint(opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	spec := ps.spec
-	gen, err := core.NewGenerator(spec)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	runRes, err := gen.Run()
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{Points: 1, Counters: runRes.Analysis.Counters()}
+	spec, gen := ps.spec, ps.gen
+	stats := Stats{Points: 1, Counters: ps.res.Analysis.Counters()}
 	if gen.Log() == nil {
 		return nil, Stats{}, fmt.Errorf("%w: usage characterization needs trace \"log\"", ErrScenario)
 	}
@@ -971,19 +973,11 @@ func renderDensityPanels(sc *Scenario) (Result, error) {
 // runHistograms runs one point and histograms per-session usage measures,
 // raw and smoothed (Figures 5.3-5.5), into a HistogramsResult.
 func runHistograms(sc *Scenario, opts Options) (Result, Stats, error) {
-	ps, err := sc.compilePoint(opts, 0)
+	ps, err := sc.runFirstPoint(opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	gen, err := core.NewGenerator(ps.spec)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	res, err := gen.Run()
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	a := res.Analysis
+	a := ps.res.Analysis
 
 	measure := func(name string) func(trace.SessionUsage) float64 {
 		switch name {
@@ -1023,18 +1017,11 @@ func runHistograms(sc *Scenario, opts Options) (Result, Stats, error) {
 // response spike, a crash is a throughput dip, and recovery is the window
 // where response returns to its pre-fault baseline.
 func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
-	ps, err := sc.compilePoint(opts, 0)
+	ps, err := sc.runFirstPoint(opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	gen, err := core.NewGenerator(ps.spec)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	res, err := gen.Run()
-	if err != nil {
-		return nil, Stats{}, err
-	}
+	res, gen := ps.res, ps.gen
 	wins := gen.Windows().Finish()
 
 	out := &TransientResult{
@@ -1052,9 +1039,17 @@ func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
 		line("churn: %d workstation crashes, %d cold reboots, %d truncated sessions, %d departed users",
 			churn.Crashes, churn.Reboots, churn.TruncatedSessions, churn.Departed)
 	}
-	if link := gen.Link(); link != nil && ps.spec.Fault != nil {
+	if links := gen.Links(); len(links) > 0 && ps.spec.Fault != nil {
+		var drops, retrans, giveUps int64
+		var blocked float64
+		for _, l := range links {
+			drops += l.Drops()
+			retrans += l.Retransmits()
+			giveUps += l.GiveUps()
+			blocked += l.BlockedTime()
+		}
 		line("network: %d drops, %d retransmits, %d give-ups, %.1f s blocked in retry holds",
-			link.Drops(), link.Retransmits(), link.GiveUps(), link.BlockedTime()/1e6)
+			drops, retrans, giveUps, blocked/1e6)
 	}
 	if fe := gen.Faults(); fe != nil && fe.OutageDrops() > 0 {
 		line("outage: %d calls swallowed by the dead server", fe.OutageDrops())

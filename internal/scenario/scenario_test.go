@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -326,6 +327,66 @@ func TestTransientChurnDeterministicAcrossParallelism(t *testing.T) {
 	if !strings.Contains(one, "churn:") {
 		t.Error("churn summary line missing — the lifecycle took no effect")
 	}
+}
+
+// TestTransientNetworkLineSumsIslands: on a two-island fleet the transient
+// summary's network line counts every island's link, not island 0's alone.
+func TestTransientNetworkLineSumsIslands(t *testing.T) {
+	sc := New("t-net").
+		Users(4).SessionsPerUser(10).Files(60, 12).Stream().Window(10e6).
+		Population(config.ExtremelyHeavyPopulation()).
+		Servers(2).
+		Salt(SaltIndex, 3, 7).
+		Fault(fault.Plan{
+			Name: "t-net",
+			Rules: []fault.Rule{{
+				Name: "loss", Ops: []string{fault.OpNet}, Drop: true, Prob: 0.02,
+			}},
+			NetTimeout: 100_000,
+			NetRetries: 5,
+		}, false).
+		Transient("two-island message loss").
+		MustBuild()
+	opts := Options{Scale: 1}
+
+	// The same point, run directly, gives each island's counters.
+	ps, err := sc.compilePoint(opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := runPoint(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := p.gen.Links()
+	if len(links) != 2 {
+		t.Fatalf("%d links, want 2", len(links))
+	}
+	var drops, retrans, giveUps int64
+	var blocked float64
+	for i, l := range links {
+		if l.Drops() == 0 {
+			t.Fatalf("island %d dropped nothing; the sum check is vacuous", i)
+		}
+		drops += l.Drops()
+		retrans += l.Retransmits()
+		giveUps += l.GiveUps()
+		blocked += l.BlockedTime()
+	}
+	want := fmt.Sprintf("network: %d drops, %d retransmits, %d give-ups, %.1f s blocked in retry holds",
+		drops, retrans, giveUps, blocked/1e6)
+
+	res, err := Run(context.Background(), sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary := res.(*TransientResult).Summary
+	for _, line := range summary {
+		if line == want {
+			return
+		}
+	}
+	t.Errorf("summary lacks %q:\n%s", want, strings.Join(summary, "\n"))
 }
 
 // TestTransientResultIsTabular: the machine view carries the same windows

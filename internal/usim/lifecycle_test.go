@@ -17,17 +17,26 @@ import (
 // carries the given lifecycle (nil for a static control population).
 func lifecycleSim(t *testing.T, sessions int, lc *config.Lifecycle, sink trace.Sink) (*Simulator, *sim.Env) {
 	t.Helper()
+	return desSim(t, sink, func(spec *config.Spec) {
+		spec.Users = 2
+		spec.Sessions = sessions
+		spec.UserTypes = []config.UserType{{
+			Name: config.UserExtremelyHeavy, ThinkTime: config.Const(1000), Fraction: 1,
+			Lifecycle: lc,
+		}}
+	})
+}
+
+// desSim builds a DES-backed simulator over a MemFS with the local cost
+// model; mutate shapes the spec before anything is built from it.
+func desSim(t *testing.T, sink trace.Sink, mutate func(*config.Spec)) (*Simulator, *sim.Env) {
+	t.Helper()
 	spec := config.Default()
-	spec.Users = 2
-	spec.Sessions = sessions
 	spec.SystemFiles = 30
 	spec.FilesPerUser = 20
 	spec.FS = config.FSSpec{Kind: config.FSLocal}
 	spec.Seed = 20260808
-	spec.UserTypes = []config.UserType{{
-		Name: config.UserExtremelyHeavy, ThinkTime: config.Const(1000), Fraction: 1,
-		Lifecycle: lc,
-	}}
+	mutate(spec)
 	tables, err := gds.BuildTables(spec)
 	if err != nil {
 		t.Fatal(err)

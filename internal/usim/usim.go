@@ -59,34 +59,40 @@ type Simulator struct {
 	// lifecycle.go. With LazyUsers, entries for users that never arrive
 	// (zero-session streams) stay nil.
 	life []*lifeState
+	// inert is the lifecycle every stream of a static population reads:
+	// no arrival hold, departure at +Inf, no crash armed. Sessions never
+	// see it (their life stays nil), so static sessions take no lifecycle
+	// checks and static runs no lifecycle draws.
+	inert lifeState
+	// started counts the sessions RunUnderSim began, truncated ones
+	// included.
+	started int
 
-	// hooks fire on a lazy spec's user materialization and release (see
-	// UserHooks); zero-valued otherwise.
+	// hooks fire at each user stream's boot and finish (see UserHooks);
+	// zero-valued unless the wiring layer installs them.
 	hooks UserHooks
 	// hookErr records the first materialization failure; the run drains and
 	// the runner surfaces it.
 	hookErr error
-	// arenas is the free list lazy streams recycle session arenas through:
-	// a departed user's arena (with all its bound continuations and item
-	// capacity) serves the next user to arrive, so arena count tracks peak
-	// concurrently-active users, not population size.
+	// arenas is the free list user streams recycle session arenas through:
+	// a finished stream's arena (with all its bound continuations and item
+	// capacity) serves the next stream to boot, so arena count tracks peak
+	// concurrently-active streams, not population size.
 	arenas []*arena
 }
 
-// UserHooks lets the wiring layer (core.Generator) observe a lazy
-// population's user lifecycle: Materialize runs before a user's first
-// session — on the DES, at the user's arrival — and is where the generator
-// builds the user's file tree, client binding, and cache warmth; Release
-// runs when the user's stream ends and is where per-user bindings are
-// dropped. Both are nil-safe and only consulted when the spec sets
-// LazyUsers.
+// UserHooks lets the wiring layer (core.Generator) observe a population's
+// user lifecycle under the DES: Materialize runs at a user stream's boot —
+// the user's arrival, before its first session — and is where a lazy
+// population builds the user's file tree, client binding, and cache
+// warmth; Release runs when the stream ends and is where per-user bindings
+// are dropped. Both are nil-safe and fire whenever installed.
 type UserHooks struct {
 	Materialize func(user int) error
 	Release     func(user int)
 }
 
-// SetUserHooks installs the lazy materialization hooks. Effective only for
-// specs with LazyUsers.
+// SetUserHooks installs the user materialization hooks.
 func (s *Simulator) SetUserHooks(h UserHooks) { s.hooks = h }
 
 // getArena pops a recycled arena or builds a fresh one. The DES kernel is
@@ -125,6 +131,7 @@ func New(spec *config.Spec, tables *gds.TableSet, inv *fsc.Inventory, fs vfs.Fil
 		sink = trace.Discard{}
 	}
 	s := &Simulator{spec: spec, tables: tables, inv: inv, fs: fs, sink: sink, thinkByType: think}
+	s.inert = lifeState{departAt: math.Inf(1), crashAt: math.Inf(1)}
 	if spec.HasLifecycle() {
 		if err := s.initLifecycle(); err != nil {
 			return nil, err
@@ -132,9 +139,6 @@ func New(spec *config.Spec, tables *gds.TableSet, inv *fsc.Inventory, fs vfs.Fil
 	}
 	return s, nil
 }
-
-// Sink returns the trace sink operations are emitted to.
-func (s *Simulator) Sink() trace.Sink { return s.sink }
 
 // Log returns the usage log when the sink is a full-record *trace.Log (the
 // default), or nil for streaming sinks.
@@ -198,36 +202,32 @@ type workItem struct {
 	seekNext bool  // random-access extension: seek before the next read
 }
 
-// RunSession simulates one login session for the given user, synchronously.
-// The random stream r must be private to the calling process for
-// determinism. Valid only with a Ctx whose holds complete inline (manual or
-// wall clocks); simulated processes use RunSessionK.
+// RunSession simulates one login session for the given user, synchronously,
+// emitting through the sink's locked Emit. The random stream r must be
+// private to the calling goroutine for determinism. Valid only with a Ctx
+// whose holds complete inline (manual or wall clocks); under the DES,
+// sessions run inside RunUnderSim's user streams.
 func (s *Simulator) RunSession(ctx vfs.Ctx, sessionID, user int, userType string, r *rand.Rand) error {
 	done := false
 	//wlint:allow hotalloc synchronous entry point for non-suspending clocks (setup, warming, wall-clock mode); never under the DES
-	if err := s.RunSessionK(ctx, sessionID, user, userType, r, func() { done = true }); err != nil {
+	if err := s.runSessionK(ctx, newArena(), sessionID, user, userType, r, s.sink.Emit, func() { done = true }); err != nil {
 		return err
 	}
 	if !done {
-		panic("usim: RunSession used with a suspending Ctx; use RunSessionK")
+		panic("usim: RunSession used with a suspending Ctx; use RunUnderSim")
 	}
 	return nil
 }
 
-// RunSessionK simulates one login session in continuation style: it returns
-// after validating the user type (reporting an unknown type as an error),
-// and runs k once the session's last operation has completed — possibly
-// after the calling process has suspended many times under the DES kernel.
-// Operation failures are recorded in the log, not returned; a session
-// cannot fail in a way that stops the user.
-func (s *Simulator) RunSessionK(ctx vfs.Ctx, sessionID, user int, userType string, r *rand.Rand, k func()) error {
-	return s.runSessionK(ctx, newArena(), sessionID, user, userType, r, s.sink.Emit, k)
-}
-
-// runSessionK initializes the arena's session and starts its operation
-// loop. The arena must not have a session in flight; emit receives every
-// executed operation (a lock-free shard/stream appender under the DES, the
-// sink's locked Emit elsewhere).
+// runSessionK simulates one login session in continuation style on the
+// arena's session: it returns after validating the user type (reporting an
+// unknown type as an error), and runs k once the session's last operation
+// has completed — possibly after the calling process has suspended many
+// times under the DES kernel. Operation failures are recorded in the log,
+// not returned; a session cannot fail in a way that stops the user. The
+// arena must not have a session in flight; emit receives every executed
+// operation (a lock-free shard/stream appender under the DES, the sink's
+// locked Emit elsewhere).
 func (s *Simulator) runSessionK(ctx vfs.Ctx, ar *arena, sessionID, user int, userType string, r *rand.Rand, emit func(*trace.Record), k func()) error {
 	think, ok := s.thinkByType[userType]
 	if !ok {
@@ -932,133 +932,184 @@ func (ses *session) metaDone(err error) {
 	ses.mK(err)
 }
 
-// RunUnderSim executes the spec's sessions on a DES environment: one
-// process per user (or several, with the ConcurrentSessions extension —
-// the window-system behaviour of §6.2), each running its share of login
-// sessions back to back on its own recycled arena. Each stream emits to
-// its user's sink stream without locking — the kernel is single-threaded,
-// so the per-record mutex the old global log took bought nothing. Returns
-// the number of sessions executed.
-func (s *Simulator) RunUnderSim(env *sim.Env) (int, error) {
-	if s.life != nil {
-		return s.runLifecycleSim(env)
-	}
+// streamSlot is one session stream of the population: the win-th
+// concurrent login window of user, running session ids
+// [first, first+count) back to back.
+type streamSlot struct {
+	user, win    int
+	utype        string
+	first, count int
+}
+
+// name labels the stream's process and its private rng stream.
+func (sl streamSlot) name() string { return fmt.Sprintf("user%d.%d", sl.user, sl.win) }
+
+// streams yields the population's session streams in user-major order:
+// ConcurrentSessions streams per user (the window-system behaviour of
+// §6.2), each with its sessionShares share of contiguous session ids. The
+// DES and wall-clock runners walk the same plan.
+func (s *Simulator) streams(yield func(streamSlot) bool) {
 	types := s.AssignTypes()
 	conc := s.spec.Ext.Concurrency()
-	perStream := sessionShares(s.spec.Sessions, s.spec.Users*conc)
-	lazy := s.spec.LazyUsers
-	next := 0
-	total := 0
-	for u := 0; u < s.spec.Users; u++ {
-		for w := 0; w < conc; w++ {
-			u, w := u, w
-			first := next
-			count := perStream[u*conc+w]
-			next += count
-			total += count
-			if count == 0 {
-				// An empty stream runs no sessions and emits nothing.
-				// Skipping its proc renumbers the calendar uniformly
-				// (relative event order is unchanged), so output bytes are
-				// identical — and an idle user stops paying for a stream
-				// handle, an rng, an arena, and a kernel process.
-				continue
-			}
-			// One sink stream handle per session stream, not per user: a
-			// handle's sessions run back to back (contiguous ids), which is
-			// the contract that lets the Summarizer retire each session's
-			// accumulator the moment the handle starts the next one. With
-			// concurrent sessions, windows of one user interleave, so
-			// sharing a handle across them would break contiguity.
-			emit := s.sink.Stream(u).Emit
-			r := rng.Derive(s.spec.Seed, fmt.Sprintf("user%d.%d", u, w))
-			ar := newArena()
-			//wlint:allow hotalloc the stream body and its finish/nextSession continuations are built once per user stream, amortized over all its sessions
-			env.Start(fmt.Sprintf("user%d.%d", u, w), func(p *sim.Proc, done sim.K) {
-				i := 0
-				//wlint:allow hotalloc built once per user stream
-				finish := func() {
-					if lazy && s.hooks.Release != nil {
-						s.hooks.Release(u)
-					}
-					done()
-				}
-				var nextSession func()
-				//wlint:allow hotalloc built once per user stream
-				nextSession = func() {
-					if i >= count {
-						finish()
-						return
-					}
-					id := first + i
-					i++
-					// A validation error cannot happen here (types come
-					// from AssignTypes); operation failures are already
-					// recorded in the log — a session cannot fail in a
-					// way that stops the user.
-					if err := s.runSessionK(p, ar, id, u, types[u], r, emit, nextSession); err != nil {
-						nextSession()
-					}
-				}
-				if lazy && s.hooks.Materialize != nil {
-					// t=0, before the user's first session — the static-
-					// population analogue of the lifecycle arrival. Procs
-					// run in user order, so materialization replays the
-					// eager build's user order exactly.
-					if err := s.hooks.Materialize(u); err != nil {
-						if s.hookErr == nil {
-							s.hookErr = err
-						}
-						done()
-						return
-					}
-				}
-				nextSession()
-			})
+	first := 0
+	for i, count := range sessionShares(s.spec.Sessions, s.spec.Users*conc) {
+		if !yield(streamSlot{user: i / conc, win: i % conc, utype: types[i/conc], first: first, count: count}) {
+			return
 		}
+		first += count
+	}
+}
+
+// userStream is one user-stream process under the DES: it holds until the
+// user arrives, boots, and runs its slot's sessions back to back until the
+// share is done or the user departs, crashing and rebooting per its
+// lifecycle deadlines. Its continuations are bound once per stream, so
+// sessions allocate none.
+type userStream struct {
+	s    *Simulator
+	slot streamSlot
+	life *lifeState // the user's lifecycle, or the simulator's inert one
+	p    *sim.Proc
+	done sim.K
+	i    int // sessions started
+
+	// Taken at boot and, for the arena, returned at finish.
+	emit func(*trace.Record)
+	r    *rand.Rand
+	ar   *arena
+
+	nextFn func() // nextSession, bound once: every session's k
+}
+
+// RunUnderSim executes the spec's sessions on a DES environment, one
+// process per session stream (see streams), each on an arena from the
+// free list. Each stream emits to its user's sink stream without locking —
+// the kernel is single-threaded, so a per-record mutex would buy nothing.
+// Static and dynamic populations share this one driver: a static user
+// reads the inert lifecycle, so it boots at t=0, never departs, and never
+// crashes. Returns the number of sessions started (truncated ones
+// included).
+func (s *Simulator) RunUnderSim(env *sim.Env) (int, error) {
+	for sl := range s.streams {
+		if sl.count == 0 && (s.life == nil || s.spec.LazyUsers) {
+			// An empty stream runs no sessions and emits nothing. Skipping
+			// its proc renumbers the calendar uniformly (relative event
+			// order is unchanged), so output bytes are identical — and an
+			// idle user costs nothing. Eager lifecycle streams keep the
+			// empty proc: its arrival hold extends virtual time, which
+			// existing runs' utilization figures depend on.
+			continue
+		}
+		st := &userStream{s: s, slot: sl, life: &s.inert}
+		if s.life != nil {
+			st.life = s.life[sl.user]
+		}
+		st.nextFn = st.nextSession
+		env.Start(sl.name(), st.run)
 	}
 	if err := env.Run(sim.Forever); err != nil {
-		return total, fmt.Errorf("usim: %w", err)
+		return s.started, fmt.Errorf("usim: %w", err)
 	}
 	if s.hookErr != nil {
-		return total, fmt.Errorf("usim: materialize user: %w", s.hookErr)
+		return s.started, fmt.Errorf("usim: materialize user: %w", s.hookErr)
 	}
-	return total, nil
+	return s.started, nil
+}
+
+// run is the stream's process body: boot at the user's arrival time.
+func (st *userStream) run(p *sim.Proc, done sim.K) {
+	st.p, st.done = p, done
+	if st.life.arriveAt > 0 {
+		p.Hold(st.life.arriveAt, st.boot)
+		return
+	}
+	st.boot()
+}
+
+// boot brings the user up: the Materialize hook builds its file tree and
+// bindings (the zero-clock setup burst), then the stream takes its sink
+// stream, rng, and arena, and arms the first crash deadline. Procs start in
+// stream order, so same-time boots replay the eager build's user order.
+func (st *userStream) boot() {
+	s, u := st.s, st.slot.user
+	if s.hooks.Materialize != nil {
+		if err := s.hooks.Materialize(u); err != nil {
+			if s.hookErr == nil {
+				s.hookErr = err
+			}
+			st.done()
+			return
+		}
+	}
+	// One sink stream handle per session stream, not per user: a handle's
+	// sessions run back to back (contiguous ids), which is the contract that
+	// lets the Summarizer retire each session's accumulator the moment the
+	// handle starts the next one. With concurrent sessions, windows of one
+	// user interleave, so sharing a handle across them would break
+	// contiguity.
+	st.emit = s.sink.Stream(u).Emit
+	st.r = rng.Derive(s.spec.Seed, st.slot.name())
+	st.ar = s.getArena()
+	st.life.arm(st.p.Now())
+	st.nextSession()
+}
+
+// nextSession starts the stream's next session, or finishes the stream
+// when its share is done or the user has departed.
+func (st *userStream) nextSession() {
+	if st.i >= st.slot.count {
+		st.finish()
+		return
+	}
+	if st.life.departing(st.p.Now()) {
+		st.life.departed = true
+		st.finish()
+		return
+	}
+	id := st.slot.first + st.i
+	st.i++
+	st.s.started++
+	// A validation error cannot happen here (types come from AssignTypes);
+	// operation failures are already recorded in the log.
+	if err := st.s.runSessionK(st.p, st.ar, id, st.slot.user, st.slot.utype, st.r, st.emit, st.nextFn); err != nil {
+		st.nextSession()
+	}
+}
+
+// finish ends the stream: the arena returns to the free list for the next
+// stream to boot, and the Release hook drops the user's bindings.
+func (st *userStream) finish() {
+	st.s.putArena(st.ar)
+	st.ar = nil
+	if st.s.hooks.Release != nil {
+		st.s.hooks.Release(st.slot.user)
+	}
+	st.done()
 }
 
 // RunWallClock executes the sessions against a real file system with one
-// goroutine per user and wall-clock think times. clockFactory supplies each
-// user's Ctx. Sessions emit through the sink's locked Emit path: wall-clock
-// streams run concurrently, so the lock-free per-user streams of the DES
-// path would race.
+// goroutine per session stream and wall-clock think times. clockFactory
+// supplies each stream's Ctx. Sessions emit through the sink's locked Emit
+// path: wall-clock streams run concurrently, so the lock-free per-user
+// streams of the DES path would race.
 func (s *Simulator) RunWallClock(clockFactory func() vfs.Ctx) (int, error) {
 	if s.life != nil {
 		return 0, errors.New("usim: lifecycle requires the DES runner (RunUnderSim)")
 	}
-	types := s.AssignTypes()
-	conc := s.spec.Ext.Concurrency()
-	perStream := sessionShares(s.spec.Sessions, s.spec.Users*conc)
 	var wg sync.WaitGroup
-	next := 0
 	total := 0
-	for u := 0; u < s.spec.Users; u++ {
-		for w := 0; w < conc; w++ {
-			u, w := u, w
-			first := next
-			count := perStream[u*conc+w]
-			next += count
-			total += count
-			r := rng.Derive(s.spec.Seed, fmt.Sprintf("user%d.%d", u, w))
-			ctx := clockFactory()
-			wg.Add(1)
-			//wlint:allow hotalloc wall-clock mode drives real goroutines, one per user stream; the DES path never runs this
-			go func() {
-				defer wg.Done()
-				for k := 0; k < count; k++ {
-					_ = s.RunSession(ctx, first+k, u, types[u], r)
-				}
-			}()
-		}
+	for sl := range s.streams {
+		total += sl.count
+		r := rng.Derive(s.spec.Seed, sl.name())
+		ctx := clockFactory()
+		wg.Add(1)
+		//wlint:allow hotalloc wall-clock mode drives real goroutines, one per user stream; the DES path never runs this
+		go func() {
+			defer wg.Done()
+			for k := 0; k < sl.count; k++ {
+				_ = s.RunSession(ctx, sl.first+k, sl.user, sl.utype, r)
+			}
+		}()
 	}
 	wg.Wait()
 	return total, nil
