@@ -5,6 +5,7 @@
 // Usage:
 //
 //	gdsplot                       # the thesis's Figure 5.1 and 5.2 examples
+//	                              # (the registered fig5.1/fig5.2 panels)
 //	gdsplot -spec spec.json       # every distribution in an experiment spec
 //	gdsplot -exp 1024 -hi 8000    # an exponential with the given mean
 //	gdsplot -curve plots/fig5.6.json [-svg out.svg]
@@ -16,12 +17,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"uswg/internal/config"
 	"uswg/internal/dist"
 	"uswg/internal/gds"
 	"uswg/internal/report"
+	"uswg/internal/scenario"
 )
 
 func main() {
@@ -66,13 +69,29 @@ func main() {
 			plotSpec("file_size["+c.Name()+"]", c.FileSize, *width, *height)
 		}
 	default:
-		for _, nd := range gds.Fig51Examples() {
-			fmt.Println(report.Density(nd.Dist.(dist.Density), 0, *hi, *width, *height, nd.Label))
-		}
-		for _, nd := range gds.Fig52Examples() {
-			fmt.Println(report.Density(nd.Dist.(dist.Density), 0, *hi, *width, *height, nd.Label))
+		if err := plotFigures(os.Stdout, *hi, *width, *height); err != nil {
+			fail(err)
 		}
 	}
+}
+
+// plotFigures renders the density panels of the registered fig5.1 and
+// fig5.2 scenarios (the thesis's Figures 5.1 and 5.2) over [0, hi].
+func plotFigures(w io.Writer, hi float64, width, height int) error {
+	for _, name := range []string{"fig5.1", "fig5.2"} {
+		sc, ok := scenario.Lookup(name)
+		if !ok {
+			return fmt.Errorf("scenario %q is not registered", name)
+		}
+		for _, p := range sc.Output.Densities {
+			den, err := p.Density()
+			if err != nil {
+				return fmt.Errorf("%s: %w", p.Label, err)
+			}
+			fmt.Fprintln(w, report.Density(den, 0, hi, width, height, p.Label))
+		}
+	}
+	return nil
 }
 
 func plotSpec(label string, ds config.DistSpec, width, height int) {

@@ -7,7 +7,12 @@
 //	wlgen run   [-spec spec.json] [-log f]     run the experiment, print a summary
 //	wlgen run   -stream                        same, streaming the trace (no log retained)
 //	wlgen analyze -log usage.jsonl [-stream]   analyze a usage log (the Usage Analyzer)
+//	wlgen fit [-family gamma] [-in samples]    fit a distribution to samples, print its DistSpec
+//	wlgen validate -log usage.jsonl            statistical-similarity checks of a log vs its spec
+//	wlgen replay -log usage.jsonl [-out f]     re-execute a usage log on a fresh file system
+//	wlgen script [-log f]                      run the Andrew-style benchmark script baseline
 //	wlgen scenario {list|dump|run}             declarative experiments (see scenario.go)
+//	wlgen scenario run -name all               every registered table and figure
 //	wlgen paper -out paper_runs/               regenerate every figure/table artifact (see paper.go)
 //	wlgen paper -diff A B                      compare two artifact folders cell by cell
 //
@@ -21,17 +26,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"uswg/internal/config"
 	"uswg/internal/core"
 	"uswg/internal/fsc"
-	"uswg/internal/gds"
 	"uswg/internal/report"
-	"uswg/internal/rng"
 	"uswg/internal/stats"
 	"uswg/internal/trace"
-	"uswg/internal/vfs"
 )
 
 func main() {
@@ -70,7 +73,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wlgen {spec|mkfs|run|analyze|scenario|paper} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: wlgen {spec|mkfs|run|analyze|fit|validate|replay|script|scenario|paper} [flags]")
 	os.Exit(2)
 }
 
@@ -100,17 +103,7 @@ func cmdMkfs(args []string) error {
 	if err != nil {
 		return err
 	}
-	tables, err := gds.BuildTables(spec)
-	if err != nil {
-		return err
-	}
-	memfs := vfs.NewMemFS(vfs.WithMaxFDs(1 << 20))
-	ctx := &vfs.ManualClock{}
-	inv, err := fsc.Build(ctx, memfs, spec, tables, rng.Derive(spec.Seed, "fsc"))
-	if err != nil {
-		return err
-	}
-	st, err := inv.Stats(ctx, memfs, spec)
+	inv, st, err := fsc.Characterize(spec)
 	if err != nil {
 		return err
 	}
@@ -158,25 +151,33 @@ func cmdRun(args []string) error {
 		}
 		fmt.Printf("usage log: %s (%d records)\n", *logPath, gen.Log().Len())
 	}
-	printSummary(spec, res, gen)
+	printSummary(os.Stdout, spec, res, gen)
 	return nil
 }
 
-func printSummary(spec *config.Spec, res *core.Result, gen *core.Generator) {
+// printSummary writes the run summary. The server and cache lines repeat
+// once per island, prefixed by the island index when there is more than
+// one, so a single-island run prints them unlabelled.
+func printSummary(w io.Writer, spec *config.Spec, res *core.Result, gen *core.Generator) {
 	a := res.Analysis
-	fmt.Printf("experiment %q: %d sessions, %d users, fs=%s\n",
+	fmt.Fprintf(w, "experiment %q: %d sessions, %d users, fs=%s\n",
 		spec.Name, res.Sessions, spec.Users, spec.FS.Kind)
 	if res.VirtualDuration > 0 {
-		fmt.Printf("virtual duration: %.0f µs\n", res.VirtualDuration)
+		fmt.Fprintf(w, "virtual duration: %.0f µs\n", res.VirtualDuration)
 	}
-	fmt.Printf("operations: %d (%d errors)\n", a.Ops, a.Errors)
-	fmt.Printf("access size:   mean %s B (std %s)\n", report.F(a.AccessSize.Mean()), report.F(a.AccessSize.Std()))
-	fmt.Printf("response time: mean %s µs (std %s)\n", report.F(a.Response.Mean()), report.F(a.Response.Std()))
-	fmt.Printf("response/byte: %s µs/B\n", report.F(a.MeanResponsePerByte()))
-	if srv := gen.Server(); srv != nil {
-		fmt.Printf("nfs server: %d RPCs, nfsd utilization %.1f%%, mean daemon wait %s µs\n",
-			srv.Calls(), 100*srv.NFSDUtilization(), report.F(srv.MeanNFSDWait()))
-		fmt.Printf("server cache hit rate: %.1f%%\n", 100*srv.Cache().HitRate())
+	fmt.Fprintf(w, "operations: %d (%d errors)\n", a.Ops, a.Errors)
+	fmt.Fprintf(w, "access size:   mean %s B (std %s)\n", report.F(a.AccessSize.Mean()), report.F(a.AccessSize.Std()))
+	fmt.Fprintf(w, "response time: mean %s µs (std %s)\n", report.F(a.Response.Mean()), report.F(a.Response.Std()))
+	fmt.Fprintf(w, "response/byte: %s µs/B\n", report.F(a.MeanResponsePerByte()))
+	servers := gen.Servers()
+	for i, srv := range servers {
+		island := ""
+		if len(servers) > 1 {
+			island = fmt.Sprintf("island %d: ", i)
+		}
+		fmt.Fprintf(w, "%snfs server: %d RPCs, nfsd utilization %.1f%%, mean daemon wait %s µs\n",
+			island, srv.Calls(), 100*srv.NFSDUtilization(), report.F(srv.MeanNFSDWait()))
+		fmt.Fprintf(w, "%sserver cache hit rate: %.1f%%\n", island, 100*srv.Cache().HitRate())
 	}
 }
 

@@ -6,11 +6,13 @@ package main
 //	wlgen scenario list                          registered scenario names
 //	wlgen scenario dump -name fig5.6 [-o f.json] export a built-in as JSON
 //	wlgen scenario run  -name fig5.6             run a registered scenario
+//	wlgen scenario run  -name all -scale 0.2     run every registered scenario
 //	wlgen scenario run  -file my.json            run a JSON scenario file
 //
-// run accepts -scale/-seed/-parallel like cmd/experiments; output is
-// byte-identical at any -parallel setting. -json/-csv swap the rendered
-// text for the result's table (scenario.Tabular) in machine form. dump → edit → run is the
+// run accepts -scale/-seed/-parallel; output is byte-identical at any
+// -parallel setting, -name all included (whole scenarios fan out, renders
+// print in list order). -json/-csv swap one scenario's rendered text for its
+// table (scenario.Tabular); `wlgen paper` does that for many. dump → edit → run is the
 // no-compile workflow for new workloads: every knob of the built-ins —
 // population and think times, sweep axes, fault plans (burst loss
 // included), trace sink, output contract — is data in the dumped JSON.
@@ -53,9 +55,9 @@ func cmdScenarioDump(args []string) error {
 	if *name == "" {
 		return fmt.Errorf("scenario dump: -name is required (one of %s)", strings.Join(scenario.Names(), ", "))
 	}
-	sc, ok := scenario.Lookup(strings.ToLower(*name))
-	if !ok {
-		return fmt.Errorf("scenario dump: unknown scenario %q (one of %s)", *name, strings.Join(scenario.Names(), ", "))
+	sc, err := lookupScenario("dump", *name)
+	if err != nil {
+		return err
 	}
 	if *out == "" {
 		return sc.Encode(os.Stdout)
@@ -90,36 +92,69 @@ func cmdScenarioRun(args []string) error {
 		return fmt.Errorf("scenario run: -json and -csv are mutually exclusive")
 	}
 
-	var sc *scenario.Scenario
+	var scs []*scenario.Scenario
 	switch {
 	case *name != "" && *file != "":
 		return fmt.Errorf("scenario run: -name and -file are mutually exclusive")
-	case *name != "":
-		var ok bool
-		sc, ok = scenario.Lookup(strings.ToLower(*name))
-		if !ok {
-			return fmt.Errorf("scenario run: unknown scenario %q (one of %s)", *name, strings.Join(scenario.Names(), ", "))
+	case strings.EqualFold(*name, scenario.All):
+		if *asJSON || *asCSV {
+			return fmt.Errorf("scenario run: -json/-csv emit one scenario's table; use `wlgen paper` for every scenario")
 		}
-	case *file != "":
-		var err error
-		sc, err = scenario.Load(*file)
+		for _, n := range scenario.Names() {
+			sc, _ := scenario.Lookup(n)
+			scs = append(scs, sc)
+		}
+	case *name != "":
+		sc, err := lookupScenario("run", *name)
 		if err != nil {
 			return err
 		}
+		scs = []*scenario.Scenario{sc}
+	case *file != "":
+		sc, err := scenario.Load(*file)
+		if err != nil {
+			return err
+		}
+		scs = []*scenario.Scenario{sc}
 	default:
 		return fmt.Errorf("scenario run: one of -name or -file is required")
 	}
 
+	// Whole scenarios fan out like sweep points: each derives its seeds from
+	// opts alone and writes only its own slot, so output keeps Names() order.
+	ctx := context.Background()
 	opts := scenario.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel}
-	res, err := scenario.Run(context.Background(), sc, opts)
-	if err != nil {
+	results := make([]scenario.Result, len(scs))
+	if err := scenario.ForEachPoint(ctx, opts, len(scs), func(i int) error {
+		res, err := scenario.Run(ctx, scs[i], opts)
+		if err != nil {
+			return fmt.Errorf("%s: %w", scs[i].Name, err)
+		}
+		results[i] = res
+		return nil
+	}); err != nil {
 		return err
 	}
 	if *asJSON || *asCSV {
-		return writeTabular(res, *asJSON)
+		return writeTabular(results[0], *asJSON)
 	}
-	fmt.Println(res.Render())
+	for i, r := range results {
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Println(r.Render())
+	}
 	return nil
+}
+
+// lookupScenario resolves a registered scenario name or alias,
+// case-insensitively, for the named subcommand.
+func lookupScenario(cmd, name string) (*scenario.Scenario, error) {
+	sc, ok := scenario.Lookup(strings.ToLower(name))
+	if !ok {
+		return nil, fmt.Errorf("scenario %s: unknown scenario %q (one of %s)", cmd, name, strings.Join(scenario.Names(), ", "))
+	}
+	return sc, nil
 }
 
 // writeTabular emits the result's machine view: the scenario.Tabular table

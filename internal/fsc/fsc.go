@@ -34,6 +34,7 @@ import (
 
 	"uswg/internal/config"
 	"uswg/internal/gds"
+	"uswg/internal/rng"
 	"uswg/internal/vfs"
 )
 
@@ -466,6 +467,28 @@ func createFile(ctx vfs.Ctx, b *builder, path string, size int64) error {
 		return fmt.Errorf("fsc: close %s: %w", path, err)
 	}
 	return nil
+}
+
+// Characterize builds the spec's initial file system on a fresh in-memory
+// file system, drawing from the spec's "fsc" rng stream, and returns the
+// inventory with its per-category stats: the one measurement behind Table
+// 5.1 and `wlgen mkfs`.
+func Characterize(spec *config.Spec) (*Inventory, []CategoryStats, error) {
+	tables, err := gds.BuildTables(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	fsys := vfs.NewMemFS(vfs.WithMaxFDs(1 << 20))
+	clock := &vfs.ManualClock{}
+	inv, err := Build(clock, fsys, spec, tables, rng.Derive(spec.Seed, "fsc"))
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := inv.Stats(clock, fsys, spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return inv, st, nil
 }
 
 // CategoryStats describes what the FSC created for one category (the

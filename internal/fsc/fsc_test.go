@@ -261,3 +261,41 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestCharacterizeMatchesBuild pins Characterize to the explicit pipeline
+// it stands for: BuildTables, Build on a fresh MemFS with the spec's "fsc"
+// rng stream, then Stats.
+func TestCharacterizeMatchesBuild(t *testing.T) {
+	spec := config.Default()
+	spec.Users = 2
+	inv, stats, err := Characterize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := gds.BuildTables(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := vfs.NewMemFS(vfs.WithMaxFDs(1 << 20))
+	ctx := &vfs.ManualClock{}
+	want, err := Build(ctx, fsys, spec, tables, rng.Derive(spec.Seed, "fsc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStats, err := want.Stats(ctx, fsys, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inv.FilesCreated != want.FilesCreated || inv.BytesCreated != want.BytesCreated {
+		t.Errorf("created %d files / %d B, want %d / %d",
+			inv.FilesCreated, inv.BytesCreated, want.FilesCreated, want.BytesCreated)
+	}
+	if len(stats) != len(wantStats) {
+		t.Fatalf("%d category stats, want %d", len(stats), len(wantStats))
+	}
+	for i := range stats {
+		if stats[i] != wantStats[i] {
+			t.Errorf("category %d: %+v, want %+v", i, stats[i], wantStats[i])
+		}
+	}
+}

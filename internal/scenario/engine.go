@@ -11,15 +11,11 @@ import (
 
 	"uswg/internal/config"
 	"uswg/internal/core"
-	"uswg/internal/dist"
 	"uswg/internal/fault"
 	"uswg/internal/fsc"
-	"uswg/internal/gds"
 	"uswg/internal/report"
-	"uswg/internal/rng"
 	"uswg/internal/stats"
 	"uswg/internal/trace"
-	"uswg/internal/vfs"
 )
 
 // Options tune a scenario run: the zero value reproduces the thesis's
@@ -182,7 +178,8 @@ func (r *TransientResult) Table() (string, []string, [][]string) {
 // each fn writes only its own index's slot, the first error by index wins
 // (what a sequential loop would have returned), and a cancelled context
 // stops new points from starting. The engine fans sweep points out through
-// it, and cmd/experiments reuses it to fan out whole scenarios for -run all.
+// it, and `wlgen scenario run -name all` reuses it to fan out whole
+// scenarios.
 func ForEachPoint(ctx context.Context, opts Options, n int, fn func(i int) error) error {
 	run := func(i int) error {
 		if err := ctx.Err(); err != nil {
@@ -804,17 +801,7 @@ func runCharacterization(sc *Scenario, opts Options) (Result, error) {
 		return nil, err
 	}
 	spec := ps.spec
-	tables, err := gds.BuildTables(spec)
-	if err != nil {
-		return nil, err
-	}
-	fsys := vfs.NewMemFS(vfs.WithMaxFDs(1 << 20))
-	clock := &vfs.ManualClock{}
-	inv, err := fsc.Build(clock, fsys, spec, tables, rng.Derive(spec.Seed, "fsc"))
-	if err != nil {
-		return nil, err
-	}
-	st, err := inv.Stats(clock, fsys, spec)
+	_, st, err := fsc.Characterize(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -932,35 +919,13 @@ func renderUserTypes(sc *Scenario) (Result, error) {
 	}, nil
 }
 
-// compileDensity turns a DistSpec into a plottable density.
-func compileDensity(spec config.DistSpec) (dist.Density, error) {
-	switch spec.Kind {
-	case config.KindExponential:
-		return dist.NewExponential(spec.Mean)
-	case config.KindPhaseExp:
-		stages := make([]dist.ExpStage, len(spec.ExpStages))
-		for i, s := range spec.ExpStages {
-			stages[i] = dist.ExpStage{W: s.W, Theta: s.Theta, Offset: s.Offset}
-		}
-		return dist.NewPhaseTypeExp(stages)
-	case config.KindGamma:
-		stages := make([]dist.GammaStage, len(spec.GammaStages))
-		for i, s := range spec.GammaStages {
-			stages[i] = dist.GammaStage{W: s.W, Alpha: s.Alpha, Theta: s.Theta, Offset: s.Offset}
-		}
-		return dist.NewMultiStageGamma(stages)
-	default:
-		return nil, fmt.Errorf("%w: density panels support exponential, phase-exp, and gamma kinds, not %q", ErrScenario, spec.Kind)
-	}
-}
-
 // renderDensityPanels samples the output's distributions (Figures 5.1-5.2)
 // into a DensitiesResult, which renders the same ASCII panels and exports
 // the sampled points as its table.
 func renderDensityPanels(sc *Scenario) (Result, error) {
 	out := &DensitiesResult{Title: sc.Output.Title, Width: 60, Height: 12}
 	for _, p := range sc.Output.Densities {
-		d, err := compileDensity(p.Dist)
+		d, err := p.Density()
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -16,10 +17,19 @@ var (
 	order    []string
 )
 
+// All is the name that selects every registered scenario (`wlgen scenario
+// run -name all`), so no scenario or alias may take it, in any case.
+const All = "all"
+
 // Register validates and adds a scenario under its name and aliases.
 func Register(sc *Scenario) error {
 	if err := sc.Validate(); err != nil {
 		return err
+	}
+	for _, n := range append([]string{sc.Name}, sc.Aliases...) {
+		if strings.EqualFold(n, All) {
+			return fmt.Errorf("%w: %q is reserved for running every scenario", ErrScenario, n)
+		}
 	}
 	regMu.Lock()
 	defer regMu.Unlock()

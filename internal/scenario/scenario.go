@@ -47,7 +47,9 @@ import (
 	"strings"
 
 	"uswg/internal/config"
+	"uswg/internal/dist"
 	"uswg/internal/fault"
+	"uswg/internal/gds"
 )
 
 // ErrScenario reports an invalid scenario specification.
@@ -307,6 +309,24 @@ type HistPanel struct {
 type DensityPanel struct {
 	Label string          `json:"label"`
 	Dist  config.DistSpec `json:"dist"`
+}
+
+// Density compiles the panel's distribution through gds.Compile and keeps
+// it only if it has a PDF to plot; tabular and truncated specs have none.
+func (p DensityPanel) Density() (dist.Density, error) {
+	d, err := gds.Compile(p.Dist)
+	if err != nil {
+		return nil, err
+	}
+	den, ok := d.(dist.Density)
+	switch {
+	case ok:
+		return den, nil
+	case p.Dist.Max > p.Dist.Min:
+		return nil, fmt.Errorf("%w: density panels cannot plot a truncated %q (min/max set): it has no PDF", ErrScenario, p.Dist.Kind)
+	default:
+		return nil, fmt.Errorf("%w: density panels support exponential, phase-exp, and gamma kinds, not %q", ErrScenario, p.Dist.Kind)
+	}
 }
 
 // Output is the scenario's output contract: what is measured per point and
@@ -590,7 +610,7 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("%w: densities output needs panels", ErrScenario)
 		}
 		for _, p := range out.Densities {
-			if err := p.Dist.Validate(); err != nil {
+			if _, err := p.Density(); err != nil {
 				return fmt.Errorf("scenario: density %q: %w", p.Label, err)
 			}
 		}

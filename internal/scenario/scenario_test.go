@@ -262,7 +262,8 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// TestRegistryRejectsDuplicates covers duplicate names and alias clashes.
+// TestRegistryRejectsDuplicates covers duplicate names, alias clashes and
+// the reserved name all.
 func TestRegistryRejectsDuplicates(t *testing.T) {
 	mk := func(name string, alias ...string) *Scenario {
 		return New(name).Alias(alias...).
@@ -277,6 +278,15 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 	}
 	if err := Register(mk("reg-test-unique", "fig5.6")); err == nil {
 		t.Error("alias shadowing a scenario accepted")
+	}
+	if err := Register(mk("all")); err == nil {
+		t.Error("scenario named all accepted")
+	}
+	if err := Register(mk("reg-test-all", "ALL")); err == nil {
+		t.Error("alias ALL accepted")
+	}
+	if _, ok := Lookup("reg-test-all"); ok {
+		t.Error("a rejected scenario was registered")
 	}
 	if _, ok := Lookup("fig5.4"); !ok {
 		t.Error("alias fig5.4 does not resolve")

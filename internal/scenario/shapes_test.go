@@ -2,10 +2,14 @@ package scenario
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"uswg/internal/config"
 )
 
 // shapeOpts runs the paper-shape checks at 30% of the thesis's session
@@ -355,6 +359,58 @@ func TestFigureDensities(t *testing.T) {
 		if !strings.Contains(out, "f(x)") {
 			t.Errorf("%s: no density labels", res.Title)
 		}
+		// Densities must be non-negative and have mass on [0, 100] (the
+		// thesis plots x in 0..100, the range the panels sample).
+		for _, p := range res.Panels {
+			var mass float64
+			for i, y := range p.YS {
+				if y < 0 || math.IsNaN(y) {
+					t.Fatalf("%s: PDF(%v) = %v", p.Label, p.XS[i], y)
+				}
+				mass += y
+			}
+			if mass <= 0 {
+				t.Errorf("%s: no mass on [0, 100]", p.Label)
+			}
+		}
+	}
+}
+
+// TestDensityPanelKinds pins which specs a density panel plots: every kind
+// gds.Compile turns into a distribution with a PDF (uniform included), and
+// nothing else. A truncated spec has no PDF, so the scenario fails to build
+// rather than rendering its untruncated density.
+func TestDensityPanelKinds(t *testing.T) {
+	build := func(spec config.DistSpec) (*Scenario, error) {
+		return New("density-kinds").Densities("t", DensityPanel{Label: "p", Dist: spec}).Build()
+	}
+	sc, err := build(config.DistSpec{Kind: config.KindUniform, Lo: 20, Hi: 60})
+	if err != nil {
+		t.Fatalf("uniform panel: %v", err)
+	}
+	res, err := Run(context.Background(), sc, Options{})
+	if err != nil {
+		t.Fatalf("uniform panel: %v", err)
+	}
+	p := res.(*DensitiesResult).Panels[0]
+	for i, x := range p.XS {
+		want := 0.0
+		if x >= 20 && x <= 60 {
+			want = 1.0 / 40
+		}
+		if p.YS[i] != want {
+			t.Fatalf("uniform PDF(%v) = %v, want %v", x, p.YS[i], want)
+		}
+	}
+
+	truncated := config.Exp(20)
+	truncated.Min, truncated.Max = 5, 50
+	if _, err := build(truncated); !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("truncated panel: err = %v, want a truncated-density ErrScenario", err)
+	}
+	const legacy = `density panels support exponential, phase-exp, and gamma kinds, not "constant"`
+	if _, err := build(config.DistSpec{Kind: config.KindConstant, Value: 3}); err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Errorf("constant panel: err = %v, want %q", err, legacy)
 	}
 }
 
