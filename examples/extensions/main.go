@@ -60,11 +60,12 @@ func main() {
 			log.Fatal(err)
 		}
 		a := res.Analysis
+		hits, _ := gen.Metrics().Value("cache.server.hit_ratio")
 
 		rows = append(rows, []string{
 			v.name,
 			report.F(sameFileRate(gen.Log().Records())),
-			report.F(100 * gen.Server().Cache().HitRate()),
+			report.F(100 * hits),
 			report.F(a.MeanResponsePerByte()),
 			report.F(res.VirtualDuration / 1e6),
 		})

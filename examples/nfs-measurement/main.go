@@ -39,13 +39,14 @@ func main() {
 			log.Fatal(err)
 		}
 		a := res.Analysis
+		util, _ := gen.Metrics().Value("nfs.server.nfsd_util")
 		users = append(users, float64(n))
 		rpb = append(rpb, a.MeanResponsePerByte())
 		rows = append(rows, []string{
 			fmt.Sprint(n),
 			fmt.Sprintf("%s(%s)", report.F(a.AccessSize.Mean()), report.F(a.AccessSize.Std())),
 			fmt.Sprintf("%s(%s)", report.F(a.Response.Mean()), report.F(a.Response.Std())),
-			fmt.Sprintf("%.0f%%", 100*gen.Server().NFSDUtilization()),
+			fmt.Sprintf("%.0f%%", 100*util),
 		})
 	}
 

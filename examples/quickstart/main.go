@@ -48,7 +48,10 @@ func main() {
 
 	fmt.Printf("overall: access size %s B, response %s µs/call, %s µs/byte\n",
 		report.F(a.AccessSize.Mean()), report.F(a.Response.Mean()), report.F(a.MeanResponsePerByte()))
-	srv := gen.Server()
-	fmt.Printf("server:  %d RPCs, %.0f%% cache hits, nfsd utilization %.0f%%\n",
-		srv.Calls(), 100*srv.Cache().HitRate(), 100*srv.NFSDUtilization())
+	m := gen.Metrics()
+	calls, _ := m.Value("nfs.server.calls")
+	hits, _ := m.Value("cache.server.hit_ratio")
+	util, _ := m.Value("nfs.server.nfsd_util")
+	fmt.Printf("server:  %.0f RPCs, %.0f%% cache hits, nfsd utilization %.0f%%\n",
+		calls, 100*hits, 100*util)
 }

@@ -71,9 +71,6 @@ func NewLRU(capacity int) *LRU {
 	}
 }
 
-// Capacity returns the configured capacity in blocks.
-func (c *LRU) Capacity() int { return c.capacity }
-
 // Len returns the number of blocks currently cached.
 func (c *LRU) Len() int { return c.n }
 

@@ -115,7 +115,7 @@ func Run(base *config.Spec, candidates []Candidate) (*Result, error) {
 			MeanResponse:    a.Response.Mean(),
 			ResponsePerByte: a.MeanResponsePerByte(),
 			Makespan:        run.VirtualDuration,
-			Ops:             gen.Log().Len(),
+			Ops:             a.Ops,
 			Errors:          a.Errors,
 		})
 	}

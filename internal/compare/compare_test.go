@@ -108,3 +108,24 @@ func TestEmptyResultBest(t *testing.T) {
 		t.Error("empty result should have no best")
 	}
 }
+
+// TestRunStreamingSpec: a spec that streams its trace keeps no log, and the
+// comparison still counts every executed op, the same count a full-record
+// log of the same workload holds.
+func TestRunStreamingSpec(t *testing.T) {
+	run := func(mode string) Measurement {
+		t.Helper()
+		spec := config.Default()
+		spec.Sessions = 8
+		spec.Trace.Mode = mode
+		res, err := Run(spec, []Candidate{{Name: "nfs"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Measurements[0]
+	}
+	streamed, logged := run(config.TraceStream), run(config.TraceLog)
+	if streamed.Ops == 0 || streamed.Ops != logged.Ops {
+		t.Errorf("streaming run counts %d ops, log run %d", streamed.Ops, logged.Ops)
+	}
+}

@@ -53,6 +53,7 @@ type Generator struct {
 	faults    *fault.Engine     // non-nil when the spec carries a fault plan
 	warmOps   int64             // warmed paths (opens + stats), for cost tests
 	ran       bool
+	res       *Result // the finished run Metrics reads, nil until Run succeeds
 
 	// Lazy-population wiring (spec.LazyUsers): the per-materialized-user
 	// file-system bindings (entries are deleted again when a user's stream
@@ -426,30 +427,16 @@ func (g *Generator) setupCtx() vfs.Ctx {
 	return &vfs.ManualClock{}
 }
 
-// Spec returns the experiment specification.
-func (g *Generator) Spec() *config.Spec { return g.spec }
-
 // Tables returns the compiled CDF tables.
 func (g *Generator) Tables() *gds.TableSet { return g.tables }
 
 // FS returns the file system under test.
 func (g *Generator) FS() vfs.FileSystem { return g.fs }
 
-// Inventory returns the FSC's created file inventory.
-func (g *Generator) Inventory() *fsc.Inventory { return g.inventory }
-
 // Log returns the usage log (populated by Run), or nil when the spec
 // selected the streaming trace mode — streaming runs have an Analysis but
 // no materialized records.
 func (g *Generator) Log() *trace.Log { return g.log }
-
-// Server returns island 0's simulated NFS server, or nil outside NFS mode.
-func (g *Generator) Server() *nfs.Server {
-	if len(g.servers) == 0 {
-		return nil
-	}
-	return g.servers[0]
-}
 
 // Servers returns every island's server (length 1 on one island, nil
 // outside NFS mode).
@@ -486,16 +473,9 @@ func (g *Generator) MaterializedUsers() int { return g.inventory.UsersBuilt }
 // LocalCost returns the local cost model, or nil outside local mode.
 func (g *Generator) LocalCost() *vfs.LocalCost { return g.local }
 
-// Faults returns the fault engine, or nil for a healthy run.
-func (g *Generator) Faults() *fault.Engine { return g.faults }
-
 // Windows returns the windowed transient-response collector, or nil unless
 // the spec set trace.window_us.
 func (g *Generator) Windows() *trace.Windows { return g.windows }
-
-// Churn returns the run's lifecycle event counts (all zero for the static
-// populations of the original model).
-func (g *Generator) Churn() usim.ChurnStats { return g.simulator.Churn() }
 
 // Run executes every login session and returns the analyzed results. A
 // generator runs once; construct a new one (same spec, same seed) to repeat
@@ -545,5 +525,6 @@ func (g *Generator) Run() (*Result, error) {
 	if g.env != nil {
 		res.VirtualDuration = g.env.Now()
 	}
+	g.res = res
 	return res, nil
 }

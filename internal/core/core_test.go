@@ -40,7 +40,7 @@ func TestRunNFSMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen.Server() == nil || len(gen.Links()) == 0 {
+	if len(gen.Servers()) == 0 || len(gen.Links()) == 0 {
 		t.Fatal("NFS mode must expose server and link")
 	}
 	res, err := gen.Run()
@@ -59,7 +59,7 @@ func TestRunNFSMode(t *testing.T) {
 	if res.Analysis.Response.N() == 0 || res.Analysis.Response.Mean() <= 0 {
 		t.Error("data ops should have positive response times")
 	}
-	if gen.Server().Calls() == 0 {
+	if gen.Servers()[0].Calls() == 0 {
 		t.Error("server saw no RPCs")
 	}
 	if gen.Links()[0].Messages() == 0 {
@@ -77,7 +77,7 @@ func TestRunLocalMode(t *testing.T) {
 	if gen.LocalCost() == nil {
 		t.Fatal("local mode must expose the cost model")
 	}
-	if gen.Server() != nil {
+	if gen.Servers() != nil {
 		t.Error("local mode should not expose an NFS server")
 	}
 	res, err := gen.Run()

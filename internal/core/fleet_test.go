@@ -98,9 +98,6 @@ func TestFleetLegacySpecUnchanged(t *testing.T) {
 		t.Errorf("testbed exposes %d servers / %d links, want 1/1",
 			len(gen.Servers()), len(gen.Links()))
 	}
-	if gen.Servers()[0] != gen.Server() {
-		t.Error("Server must alias island 0")
-	}
 	if _, ok := gen.FS().(*nfs.Client); !ok {
 		t.Errorf("FS() = %T, want user 0's *nfs.Client", gen.FS())
 	}

@@ -7,7 +7,6 @@ import (
 	"uswg/internal/config"
 	"uswg/internal/fault"
 	"uswg/internal/trace"
-	"uswg/internal/usim"
 )
 
 // churnSpec returns a small NFS spec whose whole population crashes and
@@ -51,11 +50,11 @@ func TestChurnStreamingMatchesLogMode(t *testing.T) {
 	}
 	logged, lgen := run(config.TraceLog)
 	streamed, sgen := run(config.TraceStream)
-	if lgen.Churn().TruncatedSessions == 0 {
+	if v, _ := lgen.Metrics().Value("usim.churn.truncated_sessions"); v == 0 {
 		t.Fatal("no sessions were truncated; churn equivalence check is vacuous")
 	}
-	if lgen.Churn() != sgen.Churn() {
-		t.Errorf("churn stats diverge across trace modes: %+v vs %+v", lgen.Churn(), sgen.Churn())
+	if lm, sm := lgen.Metrics(), sgen.Metrics(); !reflect.DeepEqual(lm, sm) {
+		t.Errorf("metrics diverge across trace modes: %+v vs %+v", lm, sm)
 	}
 	if logged.VirtualDuration != streamed.VirtualDuration {
 		t.Errorf("virtual durations differ: %v vs %v", logged.VirtualDuration, streamed.VirtualDuration)
@@ -70,7 +69,7 @@ func TestChurnStreamingMatchesLogMode(t *testing.T) {
 // the spec — two runs of the same churn spec agree on every churn counter
 // and every float of the Analysis.
 func TestChurnRunIsDeterministic(t *testing.T) {
-	run := func() (*Result, usim.ChurnStats) {
+	run := func() (*Result, Metrics) {
 		gen, err := NewGenerator(churnSpec())
 		if err != nil {
 			t.Fatal(err)
@@ -79,12 +78,12 @@ func TestChurnRunIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, gen.Churn()
+		return res, gen.Metrics()
 	}
-	a, ca := run()
-	b, cb := run()
-	if ca != cb {
-		t.Errorf("churn stats diverge across identical runs: %+v vs %+v", ca, cb)
+	a, ma := run()
+	b, mb := run()
+	if !reflect.DeepEqual(ma, mb) {
+		t.Errorf("metrics diverge across identical runs: %+v vs %+v", ma, mb)
 	}
 	if !reflect.DeepEqual(a.Analysis, b.Analysis) {
 		t.Error("analysis diverges across identical runs")
@@ -177,10 +176,11 @@ func TestServerOutageHardMountRidesOut(t *testing.T) {
 	if link.BlockedTime() <= 0 {
 		t.Error("retry holds accumulated no blocked time")
 	}
-	if got := gen.Server().Restarts(); got != 1 {
-		t.Errorf("server restarts = %d, want 1", got)
+	m := gen.Metrics()
+	if got, _ := m.Value("nfs.server.restarts"); got != 1 {
+		t.Errorf("server restarts = %v, want 1", got)
 	}
-	if fe := gen.Faults(); fe.OutageDrops() == 0 {
+	if got, _ := m.Value("fault.outage_drops"); got == 0 {
 		t.Error("no calls were swallowed by the dead server")
 	}
 	if res.Analysis.Errors != 0 {

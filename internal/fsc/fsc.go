@@ -128,9 +128,6 @@ func (inv *Inventory) ForUser(u, cat int) *FileSet {
 	return inv.System[cat]
 }
 
-// Lazy reports whether this inventory defers user trees to MaterializeUser.
-func (inv *Inventory) Lazy() bool { return inv.lazy != nil }
-
 // slug converts a category name into a directory-friendly label.
 func slug(c config.Category) string {
 	s := strings.ToLower(c.Name())

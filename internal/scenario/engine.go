@@ -477,8 +477,9 @@ func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 // pointRun is one executed sweep point plus its measurement context.
 type pointRun struct {
 	*pointSpec
-	res *core.Result
-	gen *core.Generator
+	res     *core.Result
+	gen     *core.Generator
+	metrics core.Metrics
 
 	writeSplit     [2]float64 // pre/post write availability, lazily computed
 	haveWriteSplit bool
@@ -504,7 +505,7 @@ func runPoint(ps *pointSpec) (*pointRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pointRun{pointSpec: ps, res: res, gen: gen}, nil
+	return &pointRun{pointSpec: ps, res: res, gen: gen, metrics: gen.Metrics()}, nil
 }
 
 // writeAvailability splits write/create availability at the onset of the
@@ -552,100 +553,30 @@ func (p *pointRun) writeAvailability() ([2]float64, error) {
 	return p.writeSplit, nil
 }
 
-// metric extracts one scalar measurement.
+// metric extracts one scalar measurement: the point's own coordinates and
+// write split, or the run snapshot entry the name is an alias of.
 func (p *pointRun) metric(name string) (float64, error) {
-	a := p.res.Analysis
 	switch name {
 	case MetricUsers:
 		return float64(p.users), nil
 	case MetricValue:
 		return p.value, nil
-	case MetricSessions:
-		return float64(p.res.Sessions), nil
-	case MetricOps:
-		return float64(a.Ops), nil
-	case MetricErrors:
-		return float64(a.Errors), nil
-	case MetricRPB:
-		return a.MeanResponsePerByte(), nil
-	case MetricAvailability:
-		return a.Availability(), nil
-	case MetricStalls:
-		srvs := p.gen.Servers()
-		if len(srvs) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		var n int64
-		for _, s := range srvs {
-			n += s.Stalls()
-		}
-		return float64(n), nil
-	case MetricNFSDWait:
-		srvs := p.gen.Servers()
-		if len(srvs) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		if len(srvs) == 1 {
-			return srvs[0].MeanNFSDWait(), nil
-		}
-		// Fleet: calls-weighted mean, so an idle island does not dilute the
-		// wait the workload actually experienced.
-		var wait float64
-		var calls int64
-		for _, s := range srvs {
-			wait += s.MeanNFSDWait() * float64(s.Calls())
-			calls += s.Calls()
-		}
-		if calls == 0 {
-			return 0, nil
-		}
-		return wait / float64(calls), nil
-	case MetricNFSDUtil:
-		srvs := p.gen.Servers()
-		if len(srvs) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		if len(srvs) == 1 {
-			return srvs[0].NFSDUtilization(), nil
-		}
-		var util float64
-		for _, s := range srvs {
-			util += s.NFSDUtilization()
-		}
-		return util / float64(len(srvs)), nil
-	case MetricDrops:
-		links := p.gen.Links()
-		if len(links) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		var n int64
-		for _, l := range links {
-			n += l.Drops()
-		}
-		return float64(n), nil
-	case MetricRetransmits:
-		links := p.gen.Links()
-		if len(links) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		var n int64
-		for _, l := range links {
-			n += l.Retransmits()
-		}
-		return float64(n), nil
-	case MetricMaterialized:
-		return float64(p.gen.MaterializedUsers()), nil
-	case MetricBuildOps:
-		return float64(p.gen.BuildOps()), nil
 	case MetricWriteAvailPre:
 		ws, err := p.writeAvailability()
 		return ws[0], err
 	case MetricWriteAvailPos:
 		ws, err := p.writeAvailability()
 		return ws[1], err
-	default:
+	}
+	entry := metricAliases[name]
+	if entry == "" {
 		return 0, fmt.Errorf("%w: unknown metric %q", ErrScenario, name)
 	}
+	v, ok := p.metrics.Value(entry)
+	if !ok {
+		return 0, fmt.Errorf("%w: metric %q (%s) is not measured on a %q file system", ErrScenario, name, entry, p.spec.FS.Kind)
+	}
+	return v, nil
 }
 
 // formatValue renders one scalar with a cell format.
@@ -986,8 +917,8 @@ func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	res, gen := ps.res, ps.gen
-	wins := gen.Windows().Finish()
+	res := ps.res
+	wins := ps.gen.Windows().Finish()
 
 	out := &TransientResult{
 		Title:   sc.Output.Title,
@@ -1000,27 +931,25 @@ func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
 	a := res.Analysis
 	line("run: %d sessions, %d ops, %.2f%% available, %.0f s virtual",
 		res.Sessions, a.Ops, 100*a.Availability(), res.VirtualDuration/1e6)
-	if churn := gen.Churn(); churn.Crashes > 0 || churn.Reboots > 0 || churn.Departed > 0 {
+	// count reads a snapshot counter; an absent layer counts 0.
+	count := func(name string) int64 {
+		v, _ := ps.metrics.Value(name)
+		return int64(v)
+	}
+	if count("usim.churn.crashes") > 0 || count("usim.churn.reboots") > 0 || count("usim.churn.departed") > 0 {
 		line("churn: %d workstation crashes, %d cold reboots, %d truncated sessions, %d departed users",
-			churn.Crashes, churn.Reboots, churn.TruncatedSessions, churn.Departed)
+			count("usim.churn.crashes"), count("usim.churn.reboots"),
+			count("usim.churn.truncated_sessions"), count("usim.churn.departed"))
 	}
-	if links := gen.Links(); len(links) > 0 && ps.spec.Fault != nil {
-		var drops, retrans, giveUps int64
-		var blocked float64
-		for _, l := range links {
-			drops += l.Drops()
-			retrans += l.Retransmits()
-			giveUps += l.GiveUps()
-			blocked += l.BlockedTime()
-		}
+	if blocked, nfs := ps.metrics.Value("netsim.blocked_us"); nfs && ps.spec.Fault != nil {
 		line("network: %d drops, %d retransmits, %d give-ups, %.1f s blocked in retry holds",
-			drops, retrans, giveUps, blocked/1e6)
+			count("netsim.drops"), count("netsim.retransmits"), count("netsim.give_ups"), blocked/1e6)
 	}
-	if fe := gen.Faults(); fe != nil && fe.OutageDrops() > 0 {
-		line("outage: %d calls swallowed by the dead server", fe.OutageDrops())
+	if n := count("fault.outage_drops"); n > 0 {
+		line("outage: %d calls swallowed by the dead server", n)
 	}
-	if srv := gen.Server(); srv != nil && srv.Restarts() > 0 {
-		line("server: %d restarts (block cache dropped)", srv.Restarts())
+	if n := count("nfs.server.restarts"); n > 0 {
+		line("server: %d restarts (block cache dropped)", n)
 	}
 
 	// Time to recover: from the moment the last server outage clears to the

@@ -376,15 +376,24 @@ type Scenario struct {
 	Output Output `json:"output"`
 }
 
-var validMetrics = map[string]bool{
-	MetricUsers: true, MetricValue: true, MetricCase: true,
-	MetricSessions: true, MetricOps: true, MetricErrors: true,
-	MetricRPB: true, MetricAvailability: true,
-	MetricAccess: true, MetricResponse: true,
-	MetricStalls: true, MetricNFSDWait: true, MetricNFSDUtil: true,
-	MetricDrops: true, MetricRetransmits: true,
-	MetricWriteAvailPre: true, MetricWriteAvailPos: true,
-	MetricMaterialized: true, MetricBuildOps: true,
+// metricAliases holds every metric name a scenario may spell, mapped to the
+// core.Generator.Metrics entry it reads. The point-level names map to "":
+// the point measures them itself (engine.go, metric and cell).
+var metricAliases = map[string]string{
+	MetricUsers: "", MetricValue: "", MetricCase: "", MetricAccess: "", MetricResponse: "",
+	MetricWriteAvailPre: "", MetricWriteAvailPos: "",
+	MetricSessions:     "usim.sessions",
+	MetricOps:          "usim.ops",
+	MetricErrors:       "usim.errors",
+	MetricRPB:          "usim.response_us_per_byte",
+	MetricAvailability: "usim.availability",
+	MetricStalls:       "nfs.server.stalls",
+	MetricNFSDWait:     "nfs.server.nfsd_wait_us",
+	MetricNFSDUtil:     "nfs.server.nfsd_util",
+	MetricDrops:        "netsim.drops",
+	MetricRetransmits:  "netsim.retransmits",
+	MetricMaterialized: "fsc.materialized_users",
+	MetricBuildOps:     "fsc.build_ops",
 }
 
 var validFormats = map[string]bool{
@@ -401,7 +410,7 @@ func validateColumns(cols []Column, what string) error {
 		return fmt.Errorf("%w: %s need at least one column", ErrScenario, what)
 	}
 	for _, c := range cols {
-		if !validMetrics[c.Metric] {
+		if _, ok := metricAliases[c.Metric]; !ok {
 			return fmt.Errorf("%w: %s: unknown metric %q", ErrScenario, what, c.Metric)
 		}
 		if !validFormats[c.Format] {
@@ -567,7 +576,7 @@ func (sc *Scenario) Validate() error {
 		if out.X != MetricUsers && out.X != MetricValue {
 			return fmt.Errorf("%w: curve x must be %q or %q, got %q", ErrScenario, MetricUsers, MetricValue, out.X)
 		}
-		if !validMetrics[out.Y] || out.Y == MetricCase {
+		if _, ok := metricAliases[out.Y]; !ok || out.Y == MetricCase {
 			return fmt.Errorf("%w: curve y: bad metric %q", ErrScenario, out.Y)
 		}
 		if len(sc.Sweep) == 0 {

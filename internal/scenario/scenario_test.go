@@ -3,8 +3,10 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -340,7 +342,9 @@ func TestTransientChurnDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestTransientNetworkLineSumsIslands: on a two-island fleet the transient
-// summary's network line counts every island's link, not island 0's alone.
+// summary's network and server lines count every island's link and server,
+// not island 0's alone, and the outage line reports the fault engine's
+// swallowed calls.
 func TestTransientNetworkLineSumsIslands(t *testing.T) {
 	sc := New("t-net").
 		Users(4).SessionsPerUser(10).Files(60, 12).Stream().Window(10e6).
@@ -352,8 +356,9 @@ func TestTransientNetworkLineSumsIslands(t *testing.T) {
 			Rules: []fault.Rule{{
 				Name: "loss", Ops: []string{fault.OpNet}, Drop: true, Prob: 0.02,
 			}},
-			NetTimeout: 100_000,
-			NetRetries: 5,
+			ServerOutages: []fault.Outage{{Start: 5e6, End: 8e6}},
+			NetTimeout:    100_000,
+			NetRetries:    5,
 		}, false).
 		Transient("two-island message loss").
 		MustBuild()
@@ -383,20 +388,34 @@ func TestTransientNetworkLineSumsIslands(t *testing.T) {
 		giveUps += l.GiveUps()
 		blocked += l.BlockedTime()
 	}
-	want := fmt.Sprintf("network: %d drops, %d retransmits, %d give-ups, %.1f s blocked in retry holds",
-		drops, retrans, giveUps, blocked/1e6)
+	var restarts int64
+	for _, srv := range p.gen.Servers() {
+		restarts += srv.Restarts()
+	}
+	if restarts != 2 {
+		t.Fatalf("%d server restarts, want one per island", restarts)
+	}
+	outageDrops, _ := p.metrics.Value("fault.outage_drops")
+	if outageDrops == 0 {
+		t.Fatal("the outage swallowed no calls; the outage line is unchecked")
+	}
+	wants := []string{
+		fmt.Sprintf("network: %d drops, %d retransmits, %d give-ups, %.1f s blocked in retry holds",
+			drops, retrans, giveUps, blocked/1e6),
+		fmt.Sprintf("outage: %d calls swallowed by the dead server", int64(outageDrops)),
+		fmt.Sprintf("server: %d restarts (block cache dropped)", restarts),
+	}
 
 	res, err := Run(context.Background(), sc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	summary := res.(*TransientResult).Summary
-	for _, line := range summary {
-		if line == want {
-			return
+	for _, want := range wants {
+		if !slices.Contains(summary, want) {
+			t.Errorf("summary lacks %q:\n%s", want, strings.Join(summary, "\n"))
 		}
 	}
-	t.Errorf("summary lacks %q:\n%s", want, strings.Join(summary, "\n"))
 }
 
 // TestTransientResultIsTabular: the machine view carries the same windows
@@ -422,5 +441,22 @@ func TestTransientResultIsTabular(t *testing.T) {
 	joined := strings.Join(tr.Summary, "\n")
 	if !strings.Contains(joined, "give-ups") {
 		t.Error("summary must report give-ups (the hard-mount contract)")
+	}
+}
+
+// TestNFSMetricOnLocalFSFails: a column that reads an NFS server or link
+// counter fails on a local file system, with an error naming the metric.
+func TestNFSMetricOnLocalFSFails(t *testing.T) {
+	for _, metric := range []string{MetricNFSDWait, MetricDrops} {
+		sc := New("t-local").
+			Users(2).SessionsPerUser(2).Files(30, 10).Stream().
+			FS(config.FSSpec{Kind: config.FSLocal}).
+			Table("local").
+			Col("x", metric, FormatF).
+			MustBuild()
+		_, err := Run(context.Background(), sc, Options{Scale: 1})
+		if !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), fmt.Sprintf("%q", metric)) {
+			t.Errorf("metric %q on a local FS: err = %v, want an ErrScenario naming it", metric, err)
+		}
 	}
 }
